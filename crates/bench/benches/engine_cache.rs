@@ -1,6 +1,6 @@
-//! The serving-path win of the `Engine` session API: cold (fresh engine
-//! per query — the legacy `Miner` cost model) vs warm (same engine,
-//! cache populated) query latency at M ∈ {100, 1000}.
+//! The serving-path win of the `SharedEngine` session API: cold (fresh
+//! engine per query, nothing amortized) vs warm (same engine, cache
+//! populated) query latency at M ∈ {100, 1000}.
 //!
 //! A cold query pays Algorithm 3.1's 40·M sampling + sort plus the O(N)
 //! counting scan; a warm query on a cached attribute pays only the O(M)
@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use optrules_bench::{fmt_duration, time_best_of};
 use optrules_bucketing::{count_buckets, CountSpec};
-use optrules_core::{Engine, EngineConfig, Ratio};
+use optrules_core::{EngineConfig, Ratio, SharedEngine};
 use optrules_relation::gen::{BankGenerator, DataGenerator};
 use optrules_relation::{BoolAttr, Condition, NumAttr, Relation, Schema, TupleScan};
 use std::hint::black_box;
@@ -57,7 +57,7 @@ fn config(buckets: usize) -> EngineConfig {
 }
 
 fn cold_query(rel: &Relation, buckets: usize) {
-    let mut engine = Engine::with_config(rel, config(buckets));
+    let engine = SharedEngine::with_config(rel, config(buckets));
     black_box(
         engine
             .query("Balance")
@@ -67,7 +67,7 @@ fn cold_query(rel: &Relation, buckets: usize) {
     );
 }
 
-fn warm_query(engine: &mut Engine<&Relation>) {
+fn warm_query(engine: &SharedEngine<&Relation>) {
     black_box(
         engine
             .query("Balance")
@@ -92,10 +92,10 @@ fn bench_engine_cache(c: &mut Criterion) {
             &buckets,
             |b, &buckets| b.iter(|| cold_query(&rel, buckets)),
         );
-        let mut engine = Engine::with_config(&rel, config(buckets));
-        warm_query(&mut engine); // populate the cache once
+        let engine = SharedEngine::with_config(&rel, config(buckets));
+        warm_query(&engine); // populate the cache once
         group.bench_with_input(BenchmarkId::new("warm", buckets), &buckets, |b, _| {
-            b.iter(|| warm_query(&mut engine))
+            b.iter(|| warm_query(&engine))
         });
     }
     // The counting scan alone, kernel vs forced row-visitor fallback,
@@ -134,9 +134,9 @@ fn bench_engine_cache(c: &mut Criterion) {
     // one comparable number per M.
     for buckets in [100usize, 1000] {
         let cold = time_best_of(Duration::from_secs(1), || cold_query(&rel, buckets));
-        let mut engine = Engine::with_config(&rel, config(buckets));
-        warm_query(&mut engine);
-        let warm = time_best_of(Duration::from_millis(300), || warm_query(&mut engine));
+        let engine = SharedEngine::with_config(&rel, config(buckets));
+        warm_query(&engine);
+        let warm = time_best_of(Duration::from_millis(300), || warm_query(&engine));
         println!(
             "engine_cache/speedup/M={buckets:<4} cold {} / warm {} = {:.1}x",
             fmt_duration(cold),

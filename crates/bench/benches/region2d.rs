@@ -14,7 +14,7 @@ use optrules_bench::{fmt_duration, time_best_of};
 use optrules_core::region2d::{
     optimize_confidence_rectangle, optimize_rectangle_naive, optimize_support_rectangle,
 };
-use optrules_core::{Engine, EngineConfig, GridCounts, Ratio};
+use optrules_core::{EngineConfig, GridCounts, Ratio, SharedEngine};
 use optrules_relation::gen::{BankGenerator, DataGenerator};
 use optrules_relation::{Condition, Relation, Schema, TupleScan};
 use std::hint::black_box;
@@ -57,7 +57,7 @@ fn config(per_axis: usize) -> EngineConfig {
 }
 
 fn cold_query(rel: &Relation, per_axis: usize) {
-    let mut engine = Engine::with_config(rel, config(per_axis));
+    let engine = SharedEngine::with_config(rel, config(per_axis));
     black_box(
         engine
             .query("Age")
@@ -68,7 +68,7 @@ fn cold_query(rel: &Relation, per_axis: usize) {
     );
 }
 
-fn warm_query(engine: &mut Engine<&Relation>) {
+fn warm_query(engine: &SharedEngine<&Relation>) {
     black_box(
         engine
             .query("Age")
@@ -143,10 +143,10 @@ fn bench_region2d(c: &mut Criterion) {
             &per_axis,
             |b, &per_axis| b.iter(|| cold_query(&rel, per_axis)),
         );
-        let mut engine = Engine::with_config(&rel, config(per_axis));
-        warm_query(&mut engine); // populate the grid cache once
+        let engine = SharedEngine::with_config(&rel, config(per_axis));
+        warm_query(&engine); // populate the grid cache once
         group.bench_with_input(BenchmarkId::new("warm", per_axis), &per_axis, |b, _| {
-            b.iter(|| warm_query(&mut engine))
+            b.iter(|| warm_query(&engine))
         });
     }
 

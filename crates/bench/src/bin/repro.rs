@@ -32,7 +32,9 @@ use optrules_core::average::{maximum_average_range, maximum_support_range};
 use optrules_core::kadane::max_gain_range;
 use optrules_core::naive::{optimize_confidence_naive, optimize_support_naive};
 use optrules_core::twopointer::optimize_confidence_sweep;
-use optrules_core::{approx, optimize_confidence, optimize_support, Engine, EngineConfig, Ratio};
+use optrules_core::{
+    approx, optimize_confidence, optimize_support, EngineConfig, Ratio, SharedEngine,
+};
 use optrules_relation::gen::{
     BankGenerator, DataGenerator, PlantedRangeGenerator, UniformWorkload,
 };
@@ -492,7 +494,7 @@ fn allpairs(full: bool) {
     };
     let workload = UniformWorkload::new(n_num, n_bool, (0.0, 1_000_000.0), 0.5);
     let rel = workload.to_relation(rows, 31);
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         &rel,
         EngineConfig {
             buckets: 200,

@@ -14,7 +14,7 @@
 
 use crate::bucket::{BucketCounts, BucketSpec};
 use crate::error::Result;
-use optrules_relation::{Condition, NumAttr, TupleScan};
+use optrules_relation::{Condition, NumAttr, Schema, TupleScan};
 use std::ops::Range;
 
 /// What to count during a bucket-assignment scan.
@@ -49,6 +49,22 @@ impl CountSpec {
             presumptive: Condition::True,
             bool_targets: Vec::new(),
             sum_targets: vec![target],
+        }
+    }
+
+    /// The shared simple-query scan of `attr`: every Boolean attribute
+    /// of `schema` as a `(B = yes)` target, no presumptive filter (the
+    /// §6.1 all-pairs trick). One definition, so a shard expanding an
+    /// `all_booleans` frame counts exactly what a single node does.
+    pub fn all_booleans(attr: NumAttr, schema: &Schema) -> Self {
+        Self {
+            attr,
+            presumptive: Condition::True,
+            bool_targets: schema
+                .boolean_attrs()
+                .map(|battr| Condition::BoolIs(battr, true))
+                .collect(),
+            sum_targets: Vec::new(),
         }
     }
 }

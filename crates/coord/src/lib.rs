@@ -23,14 +23,21 @@
 //! ```
 //!
 //! The shards are plain `optrules serve` processes; they never
-//! optimize for the coordinator — they answer two internal frames:
-//! `{"cmd":"values"}` (fetch sampled rows for bucketization) and
+//! optimize for the coordinator — they answer three internal frames:
+//! `{"cmd":"values"}` (fetch sampled rows for bucketization),
 //! `{"cmd":"count"}` (one raw counting scan, partials left
-//! uncompacted). The coordinator owns everything a single-node
-//! engine's shared layer owns — planning, cross-query dedup, the
-//! artifact cache, singleflight — and merges per-shard partial
-//! [`BucketCounts`] in shard order before compacting once and
-//! assembling rules.
+//! uncompacted) and `{"cmd":"count2d"}` (one raw §1.4 grid scan).
+//!
+//! There is **one executor with two sources**. Planning, cross-query
+//! dedup, the artifact cache, singleflight, compaction, the hit/work
+//! counters and rule assembly are the very
+//! [`Executor`](optrules_core::Executor) a single-node
+//! [`SharedEngine`](optrules_core::SharedEngine) runs; the coordinator
+//! only supplies the [`CountSource`] that reaches rows living on
+//! shards — reproduce the sampling index stream centrally and fetch the
+//! drawn values, fan a count frame out, verify every partial against
+//! the pin, merge in shard order — so a segment is just pin →
+//! `Plan::compile` → `Executor::run_plan` → envelopes.
 //!
 //! # Byte-identity
 //!
@@ -67,32 +74,22 @@
 
 mod error;
 mod shardset;
+mod source;
 
 pub use error::{CoordError, Result};
 pub use shardset::{CoordConfig, RpcKind, ShardRpcMetrics, ShardSet};
 
-use optrules_bucketing::{
-    cuts_from_sample, sample_indices, BucketCounts, BucketSpec, BucketingError, CountSpec,
-};
-use optrules_core::cache::{CacheConfig, FlightRole, ShardedCache};
+use optrules_core::cache::CacheConfig;
 use optrules_core::json::{self, Json, Num, Request, ServerProbe};
-use optrules_core::plan::{self, Plan};
+use optrules_core::plan::Plan;
 use optrules_core::server::{ExecuteCtx, Gate, Service};
-use optrules_core::shared::{
-    attr_seed, counts_cost, fan_out, grid_cost, spec_cost, AppendOutcome, BucketKey, CacheKey,
-    CacheValue, GridKey, ScanKey, ScanWhat,
-};
-use optrules_core::{CoreError, EngineConfig, GridCounts, QuerySpec, RuleSet};
+use optrules_core::shared::AppendOutcome;
+use optrules_core::{EngineConfig, Executor, QuerySpec};
 use optrules_obs::{Gauges, Histogram, Span, Timer, TraceSink};
-use optrules_relation::{Condition, Schema};
+use optrules_relation::Schema;
+use source::ShardSource;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Row indices per `{"cmd":"values"}` frame: keeps each request line
-/// comfortably under the shards' line-length limit while still
-/// amortizing round trips (all chunks for one shard are pipelined in a
-/// single write).
-const VALUES_CHUNK: usize = 8192;
 
 /// The coordinator's pinned view of shard state: one `(generation,
 /// rows)` pair per shard plus a local **pin identity** that changes
@@ -132,35 +129,23 @@ impl ShardView {
     }
 }
 
-/// The scatter-gather coordinator: a [`Service`] that owns the spec →
-/// plan layer (resolution, dedup, caching, assembly) and delegates the
-/// data pass to backend shards. See the [module docs](self).
+/// The scatter-gather coordinator: a [`Service`] that runs the shared
+/// [`Executor`] over a shard-set
+/// [`CountSource`](optrules_core::CountSource). See the [module
+/// docs](self).
 pub struct Coordinator {
     shards: ShardSet,
     schema: Schema,
     config: EngineConfig,
-    cache: ShardedCache<CacheKey, CacheValue>,
+    exec: Executor,
     state: RwLock<ShardView>,
     next_pin: AtomicU64,
     merged_nodes: AtomicU64,
-    bucketizations: AtomicU64,
-    bucket_cache_hits: AtomicU64,
-    scans: AtomicU64,
-    scan_cache_hits: AtomicU64,
-    obs: CoordObs,
-    trace: Option<Arc<TraceSink>>,
-}
-
-/// Coordinator-side phase histograms: gathering/merging shard partials
-/// and the central optimization step — the two things a coordinator
-/// does that a shard doesn't.
-#[derive(Debug, Default)]
-struct CoordObs {
-    /// Decode + pin-verify + merge + compact of per-shard partial
-    /// counts, per cold scan node.
+    /// Decode + pin-verify + merge of per-shard partials, per cold
+    /// scan or grid node — the one phase a coordinator adds to the
+    /// pipeline.
     merge: Histogram,
-    /// Central rule assembly ([`plan::assemble`]), per query.
-    optimize: Histogram,
+    trace: Option<Arc<TraceSink>>,
 }
 
 /// Parses one shard reply line and unwraps its `{"ok":…}` payload; an
@@ -252,7 +237,7 @@ impl Coordinator {
             shards,
             schema: schema.expect("addrs is non-empty"),
             config,
-            cache: ShardedCache::new(cache),
+            exec: Executor::new(cache),
             state: RwLock::new(ShardView {
                 gens,
                 rows,
@@ -260,11 +245,7 @@ impl Coordinator {
             }),
             next_pin: AtomicU64::new(1),
             merged_nodes: AtomicU64::new(0),
-            bucketizations: AtomicU64::new(0),
-            bucket_cache_hits: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
-            scan_cache_hits: AtomicU64::new(0),
-            obs: CoordObs::default(),
+            merge: Histogram::default(),
             trace: None,
         })
     }
@@ -323,379 +304,6 @@ impl Coordinator {
         }
     }
 
-    /// A generation-mismatch failure: fails the current query and
-    /// kicks off a resync so the next segment pins the new state.
-    fn stale_pin(&self, shard: usize, pinned: u64, observed: u64) -> CoordError {
-        self.resync(shard);
-        CoordError::shard(
-            shard,
-            format!(
-                "generation changed under the pinned snapshot (pinned {pinned}, now {observed})"
-            ),
-        )
-    }
-
-    /// The same lookup → singleflight → compute discipline as the
-    /// single-node shared engine, generic over [`CoordError`].
-    fn cached_or_compute(
-        &self,
-        key: CacheKey,
-        hit_counter: &AtomicU64,
-        work_counter: &AtomicU64,
-        compute: impl FnOnce() -> Result<(CacheValue, u64)>,
-    ) -> Result<CacheValue> {
-        if let Some(value) = self.cache.get(&key) {
-            hit_counter.fetch_add(1, Ordering::Relaxed);
-            return Ok(value);
-        }
-        let mut compute = Some(compute);
-        loop {
-            match self.cache.begin(&key) {
-                FlightRole::Ready(value) => {
-                    hit_counter.fetch_add(1, Ordering::Relaxed);
-                    return Ok(value);
-                }
-                FlightRole::Leader(flight) => {
-                    work_counter.fetch_add(1, Ordering::Relaxed);
-                    let compute = compute.take().expect("a caller leads at most one flight");
-                    match compute() {
-                        Ok((value, cost)) => {
-                            self.cache.insert(key, value.clone(), cost);
-                            flight.finish(Some(value.clone()));
-                            return Ok(value);
-                        }
-                        Err(e) => {
-                            flight.finish(None);
-                            return Err(e);
-                        }
-                    }
-                }
-                FlightRole::Waiter(flight) => {
-                    if let Some(value) = flight.wait() {
-                        hit_counter.fetch_add(1, Ordering::Relaxed);
-                        return Ok(value);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emits one span per non-`skip`ped shard of a timed fan-out,
-    /// under the segment's trace id.
-    fn emit_shard_spans(
-        &self,
-        name: &'static str,
-        trace: Option<&str>,
-        timed: &[(Result<Vec<String>>, u64, u64)],
-        skip: impl Fn(usize) -> bool,
-    ) {
-        if let (Some(sink), Some(trace)) = (self.trace.as_deref(), trace) {
-            for (shard, &(_, start_ns, dur_ns)) in timed.iter().enumerate() {
-                if skip(shard) {
-                    continue;
-                }
-                sink.emit(&Span {
-                    trace,
-                    span: name,
-                    shard: Some(shard),
-                    start_ns,
-                    dur_ns,
-                });
-            }
-        }
-    }
-
-    /// Step 1–3 of Algorithm 3.1 with the rows living on shards:
-    /// reproduce the single-node sampling index stream, fetch each
-    /// drawn value from the shard that holds its row, and cut the
-    /// reassembled sample centrally.
-    fn bucketize(
-        &self,
-        key: BucketKey,
-        pin: &ShardView,
-        trace: Option<&str>,
-    ) -> Result<BucketSpec> {
-        let total = pin.total_rows();
-        if total == 0 {
-            // Checked before index generation, exactly where the
-            // single-node sampler rejects an empty relation.
-            return Err(CoreError::from(BucketingError::EmptyRelation).into());
-        }
-        let s = key.samples_per_bucket * key.buckets as u64;
-        let indices = sample_indices(total, s, attr_seed(key.seed, key.attr));
-        let offsets = pin.offsets();
-        // Group draws by owning shard, remembering each draw's position
-        // in the stream so the sample reassembles in draw order.
-        let mut per_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shards.len()];
-        for (draw, &global) in indices.iter().enumerate() {
-            let shard = offsets.partition_point(|&o| o <= global) - 1;
-            per_shard[shard].push((draw, global - offsets[shard]));
-        }
-        let attr_name = self.schema.numeric_name(key.attr);
-        let lines_per_shard: Vec<Vec<String>> = per_shard
-            .iter()
-            .map(|draws| {
-                draws
-                    .chunks(VALUES_CHUNK)
-                    .map(|chunk| {
-                        let locals: Vec<u64> = chunk.iter().map(|&(_, local)| local).collect();
-                        json::values_frame_to_value(attr_name, &locals, trace).encode()
-                    })
-                    .collect()
-            })
-            .collect();
-        let results = self.shards.fan_timed(
-            |i| {
-                if lines_per_shard[i].is_empty() {
-                    None
-                } else {
-                    Some(lines_per_shard[i].clone())
-                }
-            },
-            true,
-            RpcKind::Values,
-        );
-        self.emit_shard_spans("rpc_values", trace, &results, |shard| {
-            per_shard[shard].is_empty()
-        });
-        let mut sample = vec![0.0f64; indices.len()];
-        for (shard, (result, _, _)) in results.into_iter().enumerate() {
-            if per_shard[shard].is_empty() {
-                continue;
-            }
-            let lines = result?;
-            let mut draws = per_shard[shard].iter();
-            for line in &lines {
-                let payload = parse_ok(shard, line)?;
-                let (values, generation) = json::values_reply_from_value(&payload)
-                    .map_err(|e| CoordError::shard(shard, format!("bad values reply: {e}")))?;
-                if generation != pin.gens[shard] {
-                    return Err(self.stale_pin(shard, pin.gens[shard], generation));
-                }
-                for value in values {
-                    let &(draw, _) = draws.next().ok_or_else(|| {
-                        CoordError::shard(shard, "values reply returned too many values")
-                    })?;
-                    sample[draw] = value;
-                }
-            }
-            if draws.next().is_some() {
-                return Err(CoordError::shard(
-                    shard,
-                    "values reply returned too few values",
-                ));
-            }
-        }
-        cuts_from_sample(&mut sample, key.buckets).map_err(|e| CoreError::from(e).into())
-    }
-
-    /// Cached, coalesced bucket boundaries for `key`.
-    fn spec_for(
-        &self,
-        key: BucketKey,
-        pin: &ShardView,
-        trace: Option<&str>,
-    ) -> Result<Arc<BucketSpec>> {
-        let value = self.cached_or_compute(
-            CacheKey::Bucket(key),
-            &self.bucket_cache_hits,
-            &self.bucketizations,
-            || {
-                let spec = Arc::new(self.bucketize(key, pin, trace)?);
-                let cost = spec_cost(&spec);
-                Ok((CacheValue::Spec(spec), cost))
-            },
-        )?;
-        match value {
-            CacheValue::Spec(spec) => Ok(spec),
-            _ => unreachable!("bucket key holds a spec"),
-        }
-    }
-
-    /// Cached, coalesced counting scan for one plan node: broadcast the
-    /// count frame to every non-empty shard, verify each partial
-    /// against the pin, merge **in shard order** (the concatenation
-    /// order), compact once, cache the compacted counts — exactly what
-    /// a single-node engine caches for the same key.
-    fn counts_for(
-        &self,
-        key: BucketKey,
-        threads: usize,
-        what: &ScanWhat,
-        count_spec: Option<&CountSpec>,
-        pin: &ShardView,
-        trace: Option<&str>,
-    ) -> Result<Arc<BucketCounts>> {
-        let scan_key = ScanKey {
-            bucket: key,
-            threads,
-            what: what.clone(),
-        };
-        let value = self.cached_or_compute(
-            CacheKey::Scan(scan_key),
-            &self.scan_cache_hits,
-            &self.scans,
-            || {
-                let cuts = self.spec_for(key, pin, trace)?;
-                let frame = json::count_frame_to_value(
-                    &self.schema,
-                    key.attr,
-                    &cuts,
-                    count_spec,
-                    threads,
-                    trace,
-                )
-                .encode();
-                let results = self.shards.fan_timed(
-                    |i| {
-                        if pin.rows[i] == 0 {
-                            // An empty shard's partial is all zeros —
-                            // skip the RPC (and the EmptyRelation error
-                            // its scan would raise).
-                            None
-                        } else {
-                            Some(vec![frame.clone()])
-                        }
-                    },
-                    true,
-                    RpcKind::Count,
-                );
-                self.emit_shard_spans("rpc_count", trace, &results, |shard| pin.rows[shard] == 0);
-                let merge_timer = Timer::start();
-                let mut merged: Option<BucketCounts> = None;
-                let mut counted = 0u64;
-                for (shard, (result, _, _)) in results.into_iter().enumerate() {
-                    if pin.rows[shard] == 0 {
-                        continue;
-                    }
-                    let lines = result?;
-                    let payload = parse_ok(shard, &lines[0])?;
-                    let (counts, generation) = json::counts_from_value(&payload)
-                        .map_err(|e| CoordError::shard(shard, format!("bad count reply: {e}")))?;
-                    if generation != pin.gens[shard] {
-                        return Err(self.stale_pin(shard, pin.gens[shard], generation));
-                    }
-                    if counts.total_rows != pin.rows[shard] {
-                        return Err(self.stale_pin(shard, pin.rows[shard], counts.total_rows));
-                    }
-                    if counts.bucket_count() != cuts.bucket_count() {
-                        return Err(CoordError::shard(
-                            shard,
-                            "count reply disagrees on bucket count",
-                        ));
-                    }
-                    counted += 1;
-                    match &mut merged {
-                        None => merged = Some(counts),
-                        Some(m) => m.merge(&counts),
-                    }
-                }
-                let merged = merged.expect("a non-empty relation has a non-empty shard");
-                self.merged_nodes.fetch_add(counted, Ordering::Relaxed);
-                let (_, compacted) = merged.compact();
-                merge_timer.stop(&self.obs.merge);
-                let counts = Arc::new(compacted);
-                let cost = counts_cost(&counts);
-                Ok((CacheValue::Counts(counts), cost))
-            },
-        )?;
-        match value {
-            CacheValue::Counts(counts) => Ok(counts),
-            _ => unreachable!("scan key holds counts"),
-        }
-    }
-
-    /// Cached, coalesced grid scan for one 2-D plan node: broadcast
-    /// the count2d frame to every non-empty shard, verify each **raw**
-    /// partial against the pin, merge in shard order (every grid field
-    /// is an integer sum or a min/max fold, so the merged grid is
-    /// partition-independent), and cache the merged grid. Shards never
-    /// optimize — rectangle sweeps happen centrally, over the merged
-    /// grid only.
-    fn grid_for(
-        &self,
-        key: &GridKey,
-        presumptive: &Condition,
-        objective: &Condition,
-        pin: &ShardView,
-        trace: Option<&str>,
-    ) -> Result<Arc<GridCounts>> {
-        let value = self.cached_or_compute(
-            CacheKey::Grid(key.clone()),
-            &self.scan_cache_hits,
-            &self.scans,
-            || {
-                let x_cuts = self.spec_for(key.x, pin, trace)?;
-                let y_cuts = self.spec_for(key.y, pin, trace)?;
-                let frame = json::count2d_frame_to_value(
-                    &self.schema,
-                    key.x.attr,
-                    key.y.attr,
-                    &x_cuts,
-                    &y_cuts,
-                    presumptive,
-                    objective,
-                    trace,
-                )
-                .encode();
-                let results = self.shards.fan_timed(
-                    |i| {
-                        if pin.rows[i] == 0 {
-                            // An empty shard's partial is all zeros —
-                            // skip the RPC (and the EmptyRelation
-                            // error its scan would raise).
-                            None
-                        } else {
-                            Some(vec![frame.clone()])
-                        }
-                    },
-                    true,
-                    RpcKind::Count,
-                );
-                self.emit_shard_spans("rpc_count2d", trace, &results, |shard| pin.rows[shard] == 0);
-                let merge_timer = Timer::start();
-                let mut merged: Option<GridCounts> = None;
-                let mut counted = 0u64;
-                for (shard, (result, _, _)) in results.into_iter().enumerate() {
-                    if pin.rows[shard] == 0 {
-                        continue;
-                    }
-                    let lines = result?;
-                    let payload = parse_ok(shard, &lines[0])?;
-                    let (grid, generation) = json::grid_from_value(&payload)
-                        .map_err(|e| CoordError::shard(shard, format!("bad grid reply: {e}")))?;
-                    if generation != pin.gens[shard] {
-                        return Err(self.stale_pin(shard, pin.gens[shard], generation));
-                    }
-                    if grid.total_rows != pin.rows[shard] {
-                        return Err(self.stale_pin(shard, pin.rows[shard], grid.total_rows));
-                    }
-                    if (grid.nx(), grid.ny()) != (x_cuts.bucket_count(), y_cuts.bucket_count()) {
-                        return Err(CoordError::shard(
-                            shard,
-                            "grid reply disagrees on grid dimensions",
-                        ));
-                    }
-                    counted += 1;
-                    match &mut merged {
-                        None => merged = Some(grid),
-                        Some(m) => m.merge(&grid),
-                    }
-                }
-                let merged = merged.expect("a non-empty relation has a non-empty shard");
-                self.merged_nodes.fetch_add(counted, Ordering::Relaxed);
-                merge_timer.stop(&self.obs.merge);
-                let grid = Arc::new(merged);
-                let cost = grid_cost(&grid);
-                Ok((CacheValue::Grid(grid), cost))
-            },
-        )?;
-        match value {
-            CacheValue::Grid(grid) => Ok(grid),
-            _ => unreachable!("grid key holds a grid"),
-        }
-    }
-
     /// Runs one segment of consecutive specs as a planned batch,
     /// returning one response envelope per spec in order. `threads`
     /// fans deduplicated plan nodes out in parallel (each scan node is
@@ -706,53 +314,18 @@ impl Coordinator {
         let trace = trace_id.as_deref();
         let pin = self.state.read().expect("state poisoned").clone();
         let plan = Plan::compile(&self.schema, &self.config, pin.pin_id, specs);
-        fan_out(&plan.buckets, threads, |key| {
-            let _ = self.spec_for(*key, &pin, trace);
-        });
-        fan_out(&plan.scans, threads, |node| {
-            let _ = self.counts_for(
-                node.key,
-                node.threads,
-                &node.what,
-                node.count_spec.as_ref(),
-                &pin,
-                trace,
-            );
-        });
-        fan_out(&plan.grids, threads, |node| {
-            let _ = self.grid_for(&node.key, &node.presumptive, &node.objective, &pin, trace);
-        });
-        let responses = plan
-            .queries
+        let source = ShardSource {
+            coord: self,
+            pin: &pin,
+            trace,
+        };
+        let responses = self
+            .exec
+            .run_plan(&source, plan, threads)
             .into_iter()
-            .map(|resolved| {
-                let outcome: Result<RuleSet> = resolved.map_err(CoordError::from).and_then(|r| {
-                    if let Some(part) = &r.grid {
-                        let key = r.grid_key().expect("grid part implies grid key");
-                        let grid =
-                            self.grid_for(&key, &part.presumptive, &part.objective, &pin, trace)?;
-                        let timer = Timer::start();
-                        let rules = plan::assemble_rect(&r, &grid).map_err(CoordError::from);
-                        timer.stop(&self.obs.optimize);
-                        return rules;
-                    }
-                    let counts = self.counts_for(
-                        r.key,
-                        r.threads,
-                        &r.what,
-                        r.count_spec.as_ref(),
-                        &pin,
-                        trace,
-                    )?;
-                    let timer = Timer::start();
-                    let rules = plan::assemble(&r, &counts).map_err(CoordError::from);
-                    timer.stop(&self.obs.optimize);
-                    rules
-                });
-                match outcome {
-                    Ok(rules) => json::ok_envelope(json::rule_set_to_value(&rules)),
-                    Err(e) => render_error(e),
-                }
+            .map(|outcome| match outcome {
+                Ok(rules) => json::ok_envelope(json::rule_set_to_value(&rules)),
+                Err(e) => render_error(e),
             })
             .collect();
         if let (Some(sink), Some(trace)) = (self.trace.as_deref(), trace) {
@@ -845,6 +418,7 @@ impl Coordinator {
         }
         let st = self.state.read().expect("state poisoned").clone();
         let (shard_rpcs, shard_retries, shard_errors) = self.shards.counters();
+        let work = self.exec.stats();
         let num = |n: u64| Json::Num(Num::UInt(n));
         let mut fields = vec![
             ("generation".into(), num(st.epoch())),
@@ -856,19 +430,10 @@ impl Coordinator {
                 "merged_nodes".into(),
                 num(self.merged_nodes.load(Ordering::Relaxed)),
             ),
-            (
-                "bucketizations".into(),
-                num(self.bucketizations.load(Ordering::Relaxed)),
-            ),
-            (
-                "bucket_cache_hits".into(),
-                num(self.bucket_cache_hits.load(Ordering::Relaxed)),
-            ),
-            ("scans".into(), num(self.scans.load(Ordering::Relaxed))),
-            (
-                "scan_cache_hits".into(),
-                num(self.scan_cache_hits.load(Ordering::Relaxed)),
-            ),
+            ("bucketizations".into(), num(work.bucketizations)),
+            ("bucket_cache_hits".into(), num(work.bucket_cache_hits)),
+            ("scans".into(), num(work.scans)),
+            ("scan_cache_hits".into(), num(work.scan_cache_hits)),
             ("shards".into(), Json::Arr(payloads)),
         ];
         if let Some(g) = gauges {
@@ -900,11 +465,11 @@ impl Coordinator {
         let coord = Json::Obj(vec![
             (
                 "merge".into(),
-                json::histogram_to_value(&self.obs.merge.snapshot()),
+                json::histogram_to_value(&self.merge.snapshot()),
             ),
             (
                 "optimize".into(),
-                json::histogram_to_value(&self.obs.optimize.snapshot()),
+                json::histogram_to_value(&self.exec.optimize_metrics()),
             ),
             ("shards".into(), Json::Arr(shards)),
         ]);

@@ -1,8 +1,7 @@
-//! Bounded, sharded, cost-aware LRU cache backing [`SharedEngine`].
+//! Bounded, sharded, cost-aware LRU cache backing the
+//! [`Executor`](crate::exec::Executor).
 //!
-//! [`SharedEngine`]: crate::shared::SharedEngine
-//!
-//! The engine's cached artifacts (bucketizations, counting-scan
+//! The executor's cached artifacts (bucketizations, counting-scan
 //! results) have wildly different footprints: a `BucketSpec` is `M`
 //! cut values, a `BucketCounts` is `M × (targets + 3)` cells. A plain
 //! entry-count LRU would treat them as equals, so the cache is
@@ -135,7 +134,7 @@ struct Counters {
 /// leader resolves the flight with `Done(Some(value))` (success) or
 /// `Done(None)` (failure — retry).
 #[derive(Debug)]
-pub struct Flight<V> {
+pub(crate) struct Flight<V> {
     state: Mutex<FlightState<V>>,
     cv: Condvar,
 }
@@ -174,7 +173,7 @@ impl<V: Clone> Flight<V> {
 }
 
 /// What [`ShardedCache::begin`] assigned the caller.
-pub enum FlightRole<'a, K: Eq + Hash + Clone, V: Clone> {
+pub(crate) enum FlightRole<'a, K: Eq + Hash + Clone, V: Clone> {
     /// The value landed in the cache between the caller's miss and this
     /// call — no computation needed.
     Ready(V),
@@ -188,7 +187,7 @@ pub enum FlightRole<'a, K: Eq + Hash + Clone, V: Clone> {
 /// Leadership of one flight. Resolving happens exactly once: through
 /// [`finish`](Self::finish), or on drop (as a failure) if the leader
 /// unwinds.
-pub struct FlightGuard<'a, K: Eq + Hash + Clone, V: Clone> {
+pub(crate) struct FlightGuard<'a, K: Eq + Hash + Clone, V: Clone> {
     cache: &'a ShardedCache<K, V>,
     shard: usize,
     key: Option<K>,
@@ -223,7 +222,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Drop for FlightGuard<'_, K, V> {
 /// The sharded cost-aware LRU cache. Interior-mutable: all operations
 /// take `&self`.
 #[derive(Debug)]
-pub struct ShardedCache<K, V> {
+pub(crate) struct ShardedCache<K, V> {
     shards: Vec<RwLock<Shard<K, V>>>,
     counters: Vec<Counters>,
     /// Per-shard singleflight registry: keys currently being computed.

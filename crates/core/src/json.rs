@@ -254,11 +254,12 @@
 
 use crate::cache::ShardStats;
 use crate::error::CoreError;
+use crate::exec::CountSource as _;
 use crate::query::{AvgRule, Rule, RuleSet, Task};
 use crate::ratio::Ratio;
 use crate::region2d::GridCounts;
 use crate::rule::{RangeRule, RectRule, RuleKind};
-use crate::shared::{AppendOutcome, SharedEngine, StatsSnapshot};
+use crate::shared::{AppendOutcome, LocalSource, SharedEngine, StatsSnapshot};
 use crate::spec::{CondSpec, ObjectiveSpec, QuerySpec, Real};
 use optrules_bucketing::{BucketCounts, BucketSpec, CountSpec};
 use optrules_obs::{Gauges, HistogramSnapshot, ServiceObs, Span, Timer, TraceSink};
@@ -1963,14 +1964,11 @@ where
         };
         let timer = Timer::start();
         let pinned = self.engine.pin();
-        let response =
-            match self
-                .engine
-                .count_raw(&cuts, &what, threads, pinned.relation().as_ref())
-            {
-                Ok(counts) => ok_envelope(counts_to_value(&counts, pinned.generation())),
-                Err(e) => error_envelope(e.to_string()),
-            };
+        let source = LocalSource::raw(pinned.relation().as_ref());
+        let response = match source.count(what.attr, &cuts, Some(&what), threads) {
+            Ok(counts) => ok_envelope(counts_to_value(&counts, pinned.generation())),
+            Err(e) => error_envelope(e.to_string()),
+        };
         self.emit_span("shard_count", trace.as_deref(), &timer);
         response
     }
@@ -1982,14 +1980,14 @@ where
         };
         let timer = Timer::start();
         let pinned = self.engine.pin();
-        let response = match self.engine.count_grid_raw(
+        let source = LocalSource::raw(pinned.relation().as_ref());
+        let response = match source.count_grid(
             frame.x_attr,
             frame.y_attr,
             &frame.x_cuts,
             &frame.y_cuts,
             &frame.presumptive,
             &frame.objective,
-            pinned.relation().as_ref(),
         ) {
             Ok(grid) => ok_envelope(grid_to_value(&grid, pinned.generation())),
             Err(e) => error_envelope(e.to_string()),
@@ -2440,15 +2438,7 @@ pub fn count_frame_from_value(
                 "\"all_booleans\" must be true when present",
             ));
         }
-        CountSpec {
-            attr,
-            presumptive: Condition::True,
-            bool_targets: schema
-                .boolean_attrs()
-                .map(|battr| Condition::BoolIs(battr, true))
-                .collect(),
-            sum_targets: Vec::new(),
-        }
+        CountSpec::all_booleans(attr, schema)
     } else {
         CountSpec {
             attr,
@@ -3161,7 +3151,7 @@ mod tests {
         let snapshot = StatsSnapshot {
             generation: 2,
             rows: 20_050,
-            engine: crate::engine::EngineStats {
+            engine: crate::EngineStats {
                 bucketizations: 4,
                 bucket_cache_hits: 44,
                 scans: 4,

@@ -31,13 +31,18 @@
 //!   by integer cross-multiplication, never floating-point division;
 //! * [`approx`] — the bucket-granularity error bounds of Section 3.4
 //!   (Table I);
-//! * [`engine`], [`shared`], [`cache`], [`query`] — end-to-end mining
-//!   sessions: a long-lived [`Engine`] (single-threaded facade) or
-//!   [`SharedEngine`] (`&self`, `Send + Sync`, serves concurrent query
-//!   traffic) owning the relation plus a bounded, sharded, cost-aware
-//!   bucketization/scan cache, queried through the fluent
-//!   [`query::Query`] builder (the paper's "hundreds of attributes"
-//!   interactive scenario, §1.3). The relation is **live**: appends
+//! * [`shared`], [`exec`], [`cache`], [`query`] — end-to-end mining
+//!   sessions: a long-lived [`SharedEngine`] (`&self`, `Send + Sync`,
+//!   serves concurrent query traffic) owning the relation, queried
+//!   through the fluent [`query::Query`] builder (the paper's "hundreds
+//!   of attributes" interactive scenario, §1.3). Execution is **one
+//!   [`exec::Executor`] with two sources**: the executor owns the
+//!   bounded, sharded, cost-aware bucketization/scan cache,
+//!   singleflight, plan fan-out and rule assembly, and reaches the rows
+//!   through the three-method [`exec::CountSource`] trait — implemented
+//!   locally by `SharedEngine` (a pinned relation version and the
+//!   counting kernels) and remotely by the `optrules-coord`
+//!   coordinator (a shard set). The relation is **live**: appends
 //!   produce atomically-swapped generations, every query pins one
 //!   (snapshot isolation), and generation-tagged cache keys age stale
 //!   entries out with no invalidation
@@ -51,8 +56,7 @@
 //!   (`optrules serve`) keeping one `SharedEngine` warm across
 //!   arbitrarily many client connections, with bounded accept/batch
 //!   concurrency, stats/shutdown control frames, and graceful drain;
-//! * [`rule`] — shared rule/range types; [`miner`] — the legacy
-//!   one-shot API, now a deprecated shim over the engine;
+//! * [`rule`] — shared rule/range types;
 //! * [`region2d`] — the §1.4 extension to two numeric attributes with
 //!   rectangular regions (O(nx²·ny) over an nx × ny bucket grid).
 
@@ -63,11 +67,10 @@ pub mod approx;
 pub mod average;
 pub mod cache;
 pub mod confidence;
-pub mod engine;
 pub mod error;
+pub mod exec;
 pub mod json;
 pub mod kadane;
-pub mod miner;
 pub mod naive;
 pub mod plan;
 pub mod query;
@@ -83,18 +86,14 @@ pub mod twopointer;
 
 pub use cache::{CacheConfig, ShardStats};
 pub use confidence::optimize_confidence;
-pub use engine::{Engine, EngineConfig, EngineStats};
 pub use error::CoreError;
-pub use miner::{MinedAverage, MinedPair, MinerConfig};
+pub use exec::{CountSource, EngineStats, Executor};
 pub use plan::Plan;
 pub use query::{AvgRule, Objective, Query, Rule, RuleSet, Task};
 pub use ratio::Ratio;
 pub use region2d::GridCounts;
 pub use rule::{OptRange, RangeRule, RectRule, RuleKind};
 pub use server::{ServerConfig, ServerHandle};
-pub use shared::{AppendOutcome, Pinned, SharedEngine, StatsSnapshot};
+pub use shared::{AppendOutcome, EngineConfig, Pinned, SharedEngine, StatsSnapshot};
 pub use spec::{CondSpec, ObjectiveSpec, QuerySpec, Real};
 pub use support::optimize_support;
-
-#[allow(deprecated)]
-pub use miner::Miner;

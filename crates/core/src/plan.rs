@@ -14,11 +14,16 @@
 //! 2. **deduplicate** — distinct [`BucketKey`]s become bucket nodes and
 //!    distinct [`ScanKey`]s become scan nodes, each listed once no
 //!    matter how many queries share it;
-//! 3. **execute** ([`SharedEngine::run_batch`]) — nodes run once each
+//! 3. **execute** ([`Executor::run_plan`]) — nodes run once each
 //!    across scoped worker threads (phase 1: bucketizations, phase 2:
-//!    scans), then every query is assembled from the warm cache in
-//!    input order, so the output is deterministic and byte-identical
-//!    to running the specs sequentially at any thread count.
+//!    scans and grids), then every query is assembled from the warm
+//!    cache in input order, so the output is deterministic and
+//!    byte-identical to running the specs sequentially at any thread
+//!    count. The executor reaches the rows through a
+//!    [`CountSource`](crate::exec::CountSource), so the same plan runs
+//!    over a local relation ([`SharedEngine::run_batch`]) or a shard
+//!    set (the coordinator's `run_segment`) — the plan itself never
+//!    knows which.
 //!
 //! Specs that fail to resolve contribute no nodes and carry their
 //! error through to the per-query result slot — one bad request in a
@@ -27,14 +32,16 @@
 //! [`BucketKey`]: crate::shared::BucketKey
 //! [`ScanKey`]: crate::shared::ScanKey
 //! [`SharedEngine::run_batch`]: crate::shared::SharedEngine::run_batch
+//! [`Executor::run_plan`]: crate::exec::Executor::run_plan
 
-use crate::engine::EngineConfig;
 use crate::error::{CoreError, Result};
 use crate::query::{AvgRule, Rule, RuleSet, Task};
 use crate::ratio::Ratio;
 use crate::region2d::{self, GridCounts, Rect};
 use crate::rule::{AvgRange, RangeRule, RectRule, RuleKind};
-use crate::shared::{grid_fingerprint, spec_fingerprint, BucketKey, GridKey, ScanKey, ScanWhat};
+use crate::shared::{
+    grid_fingerprint, spec_fingerprint, BucketKey, EngineConfig, GridKey, ScanKey, ScanWhat,
+};
 use crate::spec::{resolve_conjunction, ObjectiveSpec, QuerySpec};
 use crate::{average, confidence, support};
 use optrules_bucketing::{BucketCounts, CountSpec};
@@ -518,25 +525,11 @@ fn instantiate(
 /// One deduplicated counting-scan work unit of a [`Plan`].
 #[derive(Debug, Clone)]
 pub struct ScanNode {
-    /// The bucketization the scan runs over.
-    pub key: BucketKey,
-    /// Scan parallelism (part of the cache key).
-    pub threads: usize,
-    /// What the scan counts (part of the cache key).
-    pub what: ScanWhat,
+    /// The scan-cache key this node fills (bucketization, worker
+    /// count, and what is counted).
+    pub key: ScanKey,
     /// The counting spec; `None` means the shared all-Booleans scan.
     pub count_spec: Option<CountSpec>,
-}
-
-impl ScanNode {
-    /// The scan-cache key this node fills.
-    pub fn scan_key(&self) -> ScanKey {
-        ScanKey {
-            bucket: self.key,
-            threads: self.threads,
-            what: self.what.clone(),
-        }
-    }
 }
 
 /// One deduplicated §1.4 grid-counting work unit of a [`Plan`]: a
@@ -560,7 +553,7 @@ pub struct GridNode {
 /// Produced by
 /// [`SharedEngine::plan_batch`](crate::shared::SharedEngine::plan_batch)
 /// and executed by
-/// [`SharedEngine::run_batch`](crate::shared::SharedEngine::run_batch).
+/// [`Executor::run_plan`](crate::exec::Executor::run_plan).
 /// The node counts tell you what a batch will actually cost before
 /// running it: `N` specs over one attribute at one configuration are
 /// one bucket node and one scan node, however large `N` is.
@@ -615,13 +608,14 @@ impl Plan {
                             objective: part.objective.clone(),
                         });
                     }
-                } else if seen_scans.insert(resolved.scan_key()) {
-                    scans.push(ScanNode {
-                        key: resolved.key,
-                        threads: resolved.threads,
-                        what: resolved.what.clone(),
-                        count_spec: resolved.count_spec.clone(),
-                    });
+                } else {
+                    let key = resolved.scan_key();
+                    if seen_scans.insert(key.clone()) {
+                        scans.push(ScanNode {
+                            key,
+                            count_spec: resolved.count_spec.clone(),
+                        });
+                    }
                 }
                 Ok(resolved)
             })

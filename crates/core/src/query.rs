@@ -1,8 +1,8 @@
-//! Fluent queries against an [`Engine`] and their [`RuleSet`] results.
+//! Fluent queries against a [`SharedEngine`] and their [`RuleSet`]
+//! results.
 //!
 //! A [`Query`] describes one optimized-range question in the paper's
-//! vocabulary and unifies the three entry points the legacy `Miner`
-//! exposed as separate methods:
+//! vocabulary and unifies its three forms:
 //!
 //! * **boolean objective** — `(A ∈ I) ⇒ C2` (Sections 2–4):
 //!   [`Query::objective`] / [`Query::objective_is`];
@@ -272,14 +272,13 @@ impl RuleSet {
     }
 }
 
-/// A fluent query builder; construct with
-/// [`Engine::query`](crate::engine::Engine::query) /
-/// [`SharedEngine::query`], or the `query_attr` variants, configure,
+/// A fluent query builder; construct with [`SharedEngine::query`] or
+/// [`SharedEngine::query_attr`], configure,
 /// then finish with [`Query::run`], [`Query::optimize_support`],
 /// [`Query::optimize_confidence`], or [`Query::with_task`].
 ///
 /// Thresholds and bucketing parameters default to the engine's
-/// [`EngineConfig`](crate::engine::EngineConfig); each can be
+/// [`EngineConfig`](crate::EngineConfig); each can be
 /// overridden per query. Overriding bucketing parameters keys separate
 /// cache entries, so alternating queries at two bucket counts still hit
 /// the cache.
@@ -543,9 +542,7 @@ impl<'e, R: RandomAccess> Query<'e, R> {
 }
 
 /// Lazy §1.3 sweep over every (numeric, Boolean) attribute pair;
-/// created by
-/// [`Engine::queries_for_all_pairs`](crate::engine::Engine::queries_for_all_pairs)
-/// or [`SharedEngine::queries_for_all_pairs`]. Yields one
+/// created by [`SharedEngine::queries_for_all_pairs`]. Yields one
 /// [`RuleSet`] per pair, numeric-major, streaming — advancing the
 /// iterator runs at most one counting scan (the first pair of each
 /// numeric attribute; the rest hit the scan cache). For the eager
@@ -599,14 +596,14 @@ impl<R: RandomAccess> Iterator for AllPairs<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::shared::EngineConfig;
     use optrules_relation::gen::{BankGenerator, DataGenerator, RetailGenerator};
     use optrules_relation::TupleScan;
 
     #[test]
     fn generalized_rule_needs_conjunct() {
         let rel = RetailGenerator::default().to_relation(60_000, 13);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 150,
@@ -649,7 +646,7 @@ mod tests {
     #[test]
     fn average_query_finds_planted_band() {
         let rel = BankGenerator::default().to_relation(30_000, 17);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 100,
@@ -679,7 +676,7 @@ mod tests {
     #[test]
     fn task_selects_rules() {
         let rel = BankGenerator::default().to_relation(8_000, 23);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 64,
@@ -718,7 +715,7 @@ mod tests {
     #[test]
     fn parallel_query_matches_sequential() {
         let rel = BankGenerator::default().to_relation(8_000, 23);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 64,
@@ -748,7 +745,7 @@ mod tests {
     #[test]
     fn wrong_kind_thresholds_are_rejected() {
         let rel = BankGenerator::default().to_relation(1_000, 1);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 10,
@@ -782,7 +779,7 @@ mod tests {
     #[test]
     fn average_query_honors_given() {
         let rel = BankGenerator::default().to_relation(10_000, 21);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 50,
@@ -840,7 +837,7 @@ mod tests {
     #[test]
     fn narrow_scan_gives_identical_rules_without_sharing() {
         let rel = BankGenerator::default().to_relation(6_000, 41);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 50,
@@ -870,7 +867,7 @@ mod tests {
     #[test]
     fn repeated_given_conjoins() {
         let rel = RetailGenerator::default().to_relation(5_000, 2);
-        let mut engine = Engine::new(rel);
+        let engine = SharedEngine::new(rel);
         let schema = engine.relation().schema().clone();
         let pizza = Condition::BoolIs(schema.boolean("Pizza").unwrap(), true);
         let coke = Condition::BoolIs(schema.boolean("Coke").unwrap(), true);

@@ -2,11 +2,10 @@
 //!
 //! The paper's system is interactive — an analyst inspects "a complete
 //! set of optimized rules for all combinations" (§1.3). This module
-//! renders [`MinedPair`] collections as aligned text tables, sorted so
+//! renders [`RuleSet`] collections as aligned text tables, sorted so
 //! the strongest associations surface first, with weak pairs (nothing
 //! cleared a threshold, or only noise-level support) pushed down.
 
-use crate::miner::MinedPair;
 use crate::query::RuleSet;
 use crate::rule::RangeRule;
 use std::fmt::Write as _;
@@ -19,65 +18,14 @@ pub enum SortBy {
     Support,
     /// Strongest optimized-confidence rule first (highest confidence).
     Confidence,
-    /// Keep the miner's numeric-major order.
+    /// Keep the sweep's numeric-major order.
     Unsorted,
 }
 
-/// Renders mined pairs as an aligned table. Pairs with no rule at all
-/// are summarized in a trailing count instead of emitting empty rows.
-///
-/// # Examples
-///
-/// ```
-/// use optrules_core::report::{render_pairs, SortBy};
-/// let table = render_pairs(&[], SortBy::Support);
-/// assert!(table.contains("0 rules"));
-/// ```
-pub fn render_pairs(pairs: &[MinedPair], sort: SortBy) -> String {
-    let mut with_rules: Vec<&MinedPair> = pairs
-        .iter()
-        .filter(|p| p.optimized_support.is_some() || p.optimized_confidence.is_some())
-        .collect();
-    match sort {
-        SortBy::Support => sort_descending_by(&mut with_rules, key_support),
-        SortBy::Confidence => sort_descending_by(&mut with_rules, key_confidence),
-        SortBy::Unsorted => {}
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<18} {:<24} {:>24} {:>10} {:>11}  kind",
-        "attribute", "objective", "range", "support", "confidence"
-    );
-    for pair in &with_rules {
-        for (label, rule) in [
-            ("sup", pair.optimized_support.as_ref()),
-            ("conf", pair.optimized_confidence.as_ref()),
-        ] {
-            if let Some(rule) = rule {
-                let _ = writeln!(out, "{}", render_row(pair, rule, label));
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{} pairs, {} rules ({} pairs below thresholds)",
-        pairs.len(),
-        with_rules
-            .iter()
-            .map(|p| p.optimized_support.is_some() as usize
-                + p.optimized_confidence.is_some() as usize)
-            .sum::<usize>(),
-        pairs.len() - with_rules.len(),
-    );
-    out
-}
-
-/// Renders the [`RuleSet`]s of an
-/// [`Engine::queries_for_all_pairs`](crate::engine::Engine::queries_for_all_pairs)
-/// sweep as an aligned table — the session-API face of
-/// [`render_pairs`].
+/// Renders the [`RuleSet`]s of a
+/// [`SharedEngine::queries_for_all_pairs`](crate::SharedEngine::queries_for_all_pairs)
+/// sweep as an aligned table. Pairs with no rule at all are summarized
+/// in a trailing count instead of emitting empty rows.
 ///
 /// # Examples
 ///
@@ -87,10 +35,36 @@ pub fn render_pairs(pairs: &[MinedPair], sort: SortBy) -> String {
 /// assert!(table.contains("0 rules"));
 /// ```
 pub fn render_rule_sets(sets: &[RuleSet], sort: SortBy) -> String {
-    // The borrow-based conversion copies only the two rules and the two
-    // name strings each row needs, not the whole rule vector.
-    let pairs: Vec<MinedPair> = sets.iter().map(MinedPair::from).collect();
-    render_pairs(&pairs, sort)
+    fn rules_of(set: &RuleSet) -> [Option<&RangeRule>; 2] {
+        [set.optimized_support(), set.optimized_confidence()]
+    }
+    let with_rules: Vec<&RuleSet> = sort_rule_sets(sets, sort)
+        .into_iter()
+        .filter(|set| rules_of(set).iter().any(Option::is_some))
+        .collect();
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<18} {:<24} {:>24} {:>10} {:>11}  kind",
+        "attribute", "objective", "range", "support", "confidence"
+    );
+    let mut rules = 0;
+    for set in &with_rules {
+        for (label, rule) in ["sup", "conf"].into_iter().zip(rules_of(set)) {
+            if let Some(rule) = rule {
+                let _ = writeln!(out, "{}", render_row(set, rule, label));
+                rules += 1;
+            }
+        }
+    }
+    let _ = writeln!(
+        out,
+        "{} pairs, {rules} rules ({} pairs below thresholds)",
+        sets.len(),
+        sets.len() - with_rules.len(),
+    );
+    out
 }
 
 /// Orders rule sets the way [`render_rule_sets`] orders its rows
@@ -121,21 +95,11 @@ fn sort_descending_by<T>(items: &mut [&T], key: impl Fn(&T) -> f64) {
     });
 }
 
-fn key_support(p: &MinedPair) -> f64 {
-    p.optimized_support.as_ref().map_or(0.0, RangeRule::support)
-}
-
-fn key_confidence(p: &MinedPair) -> f64 {
-    p.optimized_confidence
-        .as_ref()
-        .map_or(0.0, RangeRule::confidence)
-}
-
-fn render_row(pair: &MinedPair, rule: &RangeRule, kind: &str) -> String {
+fn render_row(set: &RuleSet, rule: &RangeRule, kind: &str) -> String {
     format!(
         "{:<18} {:<24} [{:>9.2}, {:>9.2}] {:>9.2}% {:>10.2}%  {kind}",
-        truncate(&pair.attr_name, 18),
-        truncate(&pair.objective_desc, 24),
+        truncate(&set.attr_name, 18),
+        truncate(&set.objective_desc, 24),
         rule.value_range.0,
         rule.value_range.1,
         100.0 * rule.support(),
@@ -155,9 +119,10 @@ fn truncate(s: &str, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Rule;
     use crate::rule::RuleKind;
 
-    fn pair(attr: &str, sup: Option<f64>, conf: Option<f64>) -> MinedPair {
+    fn pair(attr: &str, sup: Option<f64>, conf: Option<f64>) -> RuleSet {
         let mk = |kind, support: f64, confidence: f64| RangeRule {
             kind,
             bucket_range: (0, 1),
@@ -166,11 +131,13 @@ mod tests {
             hits: (support * confidence * 1000.0) as u64,
             total_rows: 1000,
         };
-        MinedPair {
+        let sup = sup.map(|s| mk(RuleKind::OptimizedSupport, s, 0.6));
+        let conf = conf.map(|c| mk(RuleKind::OptimizedConfidence, 0.1, c));
+        RuleSet {
             attr_name: attr.to_string(),
+            attr2: None,
             objective_desc: "(C = yes)".to_string(),
-            optimized_support: sup.map(|s| mk(RuleKind::OptimizedSupport, s, 0.6)),
-            optimized_confidence: conf.map(|c| mk(RuleKind::OptimizedConfidence, 0.1, c)),
+            rules: sup.into_iter().chain(conf).map(Rule::Range).collect(),
             buckets_used: 10,
             total_rows: 1000,
         }
@@ -179,7 +146,7 @@ mod tests {
     #[test]
     fn sorts_by_support() {
         let pairs = vec![pair("Small", Some(0.1), None), pair("Big", Some(0.5), None)];
-        let table = render_pairs(&pairs, SortBy::Support);
+        let table = render_rule_sets(&pairs, SortBy::Support);
         let big = table.find("Big").unwrap();
         let small = table.find("Small").unwrap();
         assert!(big < small, "{table}");
@@ -191,14 +158,14 @@ mod tests {
             pair("Weak", None, Some(0.3)),
             pair("Strong", None, Some(0.9)),
         ];
-        let table = render_pairs(&pairs, SortBy::Confidence);
+        let table = render_rule_sets(&pairs, SortBy::Confidence);
         assert!(table.find("Strong").unwrap() < table.find("Weak").unwrap());
     }
 
     #[test]
     fn counts_ruleless_pairs() {
         let pairs = vec![pair("A", Some(0.2), Some(0.7)), pair("B", None, None)];
-        let table = render_pairs(&pairs, SortBy::Unsorted);
+        let table = render_rule_sets(&pairs, SortBy::Unsorted);
         assert!(
             table.contains("2 pairs, 2 rules (1 pairs below thresholds)"),
             "{table}"
@@ -208,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let table = render_pairs(&[], SortBy::Support);
+        let table = render_rule_sets(&[], SortBy::Support);
         assert!(table.contains("0 pairs, 0 rules"), "{table}");
     }
 

@@ -1,24 +1,35 @@
 //! The concurrent mining session: a `Send + Sync` [`SharedEngine`]
 //! serving parallel query traffic over one relation with `&self`.
 //!
-//! [`Engine`](crate::engine::Engine) (PR 1) made the paper's §1.3
-//! interactive scenario fast, but it is `&mut self`-only — one query
-//! at a time — and its caches grow without bound. `SharedEngine` is
-//! the serving-path version:
+//! The paper's §1.3 scenario is interactive — an analyst fires *many*
+//! optimized-range queries against the *same* relation — and the
+//! expensive steps of each query are shared work: a **bucketization**
+//! (Algorithm 3.1: sample `S = 40·M` points, sort, cut) depends only
+//! on `(attribute, M, S/M, seed)`, a **counting scan** on the
+//! bucketization plus *what* is counted. Simple boolean queries
+//! (`objective = (B = yes)`, no presumptive condition) share one scan
+//! counting **every** Boolean attribute at once — the §6.1 all-pairs
+//! trick — so after the first query on an attribute, follow-ups run in
+//! O(M) optimizer time instead of O(N) scan time.
 //!
-//! * the relation lives in an `Arc`, and both caching layers
-//!   (bucketizations, counting scans) share one **sharded,
-//!   interior-mutable, cost-aware LRU cache** (see [`crate::cache`]),
-//!   so every method takes `&self` and many threads can mine
-//!   concurrently — warm lookups take one shard read lock and never
-//!   block on unrelated shards;
-//! * the cache is **bounded** by a [`CacheConfig`] cost budget with
-//!   per-shard LRU eviction, so a session sweeping many attributes,
-//!   seeds, or bucket counts has a fixed memory ceiling;
-//! * counters are atomics, snapshotted as
-//!   [`EngineStats`](crate::engine::EngineStats) by
-//!   [`stats`](SharedEngine::stats) and per shard by
-//!   [`shard_stats`](SharedEngine::shard_stats).
+//! `SharedEngine` is that session, split in two:
+//!
+//! * the **[`Executor`]** (see [`crate::exec`]) owns everything that
+//!   does not care where rows live — the **sharded, interior-mutable,
+//!   cost-aware LRU cache** (see [`crate::cache`]) bounded by a
+//!   [`CacheConfig`] cost budget, singleflight, the hit/work counters,
+//!   plan fan-out and rule assembly. It is the same executor the
+//!   scatter-gather coordinator runs;
+//! * the engine supplies the **local [`CountSource`]**: the pinned
+//!   relation version scanned by `equi_depth_cuts`, the counting
+//!   kernels and `GridCounts::count`, with the kernel-vs-fallback
+//!   counters and data-pass histograms.
+//!
+//! Every method takes `&self` and many threads can mine concurrently —
+//! warm lookups take one cache-shard read lock and never block on
+//! unrelated shards. Counters are atomics, snapshotted as
+//! [`EngineStats`] by [`stats`](SharedEngine::stats) and per cache
+//! shard by [`shard_stats`](SharedEngine::shard_stats).
 //!
 //! Caching (including eviction) is semantically invisible: a query
 //! returns the same [`RuleSet`] whether it hit, missed, or was
@@ -81,25 +92,59 @@
 //! assert_eq!(engine.stats().scan_cache_hits, 2);
 //! ```
 
-use crate::cache::{CacheConfig, FlightRole, ShardStats, ShardedCache};
-use crate::engine::{EngineConfig, EngineStats};
-use crate::error::Result;
-use crate::plan::{self, GridNode, Plan, ResolvedQuery, ScanNode};
+use crate::cache::{CacheConfig, ShardStats};
+use crate::error::{CoreError, Result};
+use crate::exec::{CountSource, EngineStats, Executor};
+use crate::plan::{self, Plan};
 use crate::query::{AllPairs, Query, RuleSet};
+use crate::ratio::Ratio;
 use crate::region2d::GridCounts;
 use crate::spec::QuerySpec;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use optrules_bucketing::{
-    count_buckets, count_buckets_parallel, equi_depth_cuts, BucketCounts, BucketSpec, CountSpec,
-    EquiDepthConfig, SamplingMethod,
+    count_buckets_parallel, equi_depth_cuts, BucketCounts, BucketSpec, CountSpec, EquiDepthConfig,
+    SamplingMethod,
 };
 use optrules_obs::{Histogram, HistogramSnapshot, Timer};
 use optrules_relation::{
     AppendRows, Condition, Durability, DurabilityMetrics, DurabilityStats, NumAttr, RandomAccess,
     RowFrame, Schema,
 };
+
+/// Session-wide defaults for a [`SharedEngine`] (or a coordinator).
+/// Every knob can be overridden per query by the
+/// [`Query`] builder or a [`QuerySpec`] field.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineConfig {
+    /// Bucket count `M` per numeric attribute (paper: up to thousands).
+    pub buckets: usize,
+    /// Random samples per bucket for Algorithm 3.1 (paper: 40).
+    pub samples_per_bucket: u64,
+    /// Seed for the sampling step (mining is deterministic given this).
+    pub seed: u64,
+    /// Default minimum support for optimized-confidence rules.
+    pub min_support: Ratio,
+    /// Default minimum confidence for optimized-support rules.
+    pub min_confidence: Ratio,
+    /// Worker threads for the counting scan (1 = sequential;
+    /// >1 = Algorithm 3.2).
+    pub threads: usize,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        Self {
+            buckets: 1000,
+            samples_per_bucket: 40,
+            seed: 0x0f0f_0f0f,
+            min_support: Ratio::percent(10),
+            min_confidence: Ratio::percent(50),
+            threads: 1,
+        }
+    }
+}
 
 /// Cache key for one bucketization: everything Algorithm 3.1's output
 /// depends on — including the relation **generation** it sampled, so a
@@ -153,8 +198,8 @@ pub struct ScanKey {
 /// attribute index so distinct attributes draw distinct samples.
 ///
 /// Public because a coordinator reproducing a shard-distributed
-/// bucketization must seed its index stream exactly as
-/// [`SharedEngine::spec_for`] does.
+/// bucketization must seed its index stream exactly as the local
+/// source does.
 pub fn attr_seed(seed: u64, attr: NumAttr) -> u64 {
     seed ^ (attr.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
@@ -189,63 +234,6 @@ pub struct GridKey {
 /// conditions (the grid's axes live in [`GridKey`] itself).
 pub fn grid_fingerprint(presumptive: &Condition, objective: &Condition) -> ScanWhat {
     ScanWhat::Spec(format!("grid|{presumptive:?}|{objective:?}"))
-}
-
-/// Both artifact kinds share one sharded cache (and hence one cost
-/// budget), keyed by this enum. Public so a coordinator can run the
-/// same caching discipline over artifacts it assembles from remote
-/// shards.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CacheKey {
-    /// A bucketization artifact.
-    Bucket(BucketKey),
-    /// A counting-scan artifact.
-    Scan(ScanKey),
-    /// A §1.4 grid-counting artifact.
-    Grid(GridKey),
-}
-
-/// The artifact stored under a [`CacheKey`].
-#[derive(Debug, Clone)]
-pub enum CacheValue {
-    /// Bucket boundaries.
-    Spec(Arc<BucketSpec>),
-    /// (Compacted) per-bucket counts.
-    Counts(Arc<BucketCounts>),
-    /// Per-cell grid counts (§1.4).
-    Grid(Arc<GridCounts>),
-}
-
-/// Cost of a cached bucketization, in cells: the cut points held.
-pub fn spec_cost(spec: &BucketSpec) -> u64 {
-    (spec.bucket_count() as u64).max(1)
-}
-
-/// Cost of a cached counting scan, in cells: `u`, per-bucket ranges
-/// (2 cells), and one row per Boolean/sum target.
-pub fn counts_cost(counts: &BucketCounts) -> u64 {
-    let per_bucket = 3 + counts.bool_v.len() as u64 + counts.sums.len() as u64;
-    (counts.bucket_count() as u64 * per_bucket).max(1)
-}
-
-/// Cost of a cached grid scan, in cells: `u` and `v` per cell plus
-/// the per-axis observed ranges (2 cells each).
-pub fn grid_cost(grid: &GridCounts) -> u64 {
-    let cells = (grid.nx() * grid.ny()) as u64;
-    (2 * cells + 2 * (grid.nx() + grid.ny()) as u64).max(1)
-}
-
-/// Engine-level work counters (the cache tracks lookups/evictions
-/// itself). Relaxed ordering: observability data, not synchronization.
-#[derive(Debug, Default)]
-struct WorkCounters {
-    bucketizations: AtomicU64,
-    bucket_cache_hits: AtomicU64,
-    scans: AtomicU64,
-    scan_cache_hits: AtomicU64,
-    kernel_scans: AtomicU64,
-    fallback_scans: AtomicU64,
-    coalesced_waits: AtomicU64,
 }
 
 /// A point-in-time observability snapshot of one [`SharedEngine`]:
@@ -338,8 +326,9 @@ struct GenState<R> {
 /// See the [module docs](self) for the concurrency and eviction model.
 /// All query entry points take `&self`; share the engine across scoped
 /// threads by reference (it is `Send + Sync` whenever the relation
-/// is). The single-threaded [`Engine`](crate::engine::Engine) is a
-/// thin facade over this type.
+/// is). The engine takes the relation by value; to mine a relation you
+/// only have a reference to, pass the reference itself — `&R`
+/// implements the scanning traits too.
 #[derive(Debug)]
 pub struct SharedEngine<R: RandomAccess> {
     /// Current generation; readers take the read lock only to clone the
@@ -353,38 +342,142 @@ pub struct SharedEngine<R: RandomAccess> {
     schema: Schema,
     config: EngineConfig,
     cache_config: CacheConfig,
-    cache: ShardedCache<CacheKey, CacheValue>,
-    counters: WorkCounters,
-    obs: EngineObs,
+    exec: Executor,
+    obs: ScanObs,
 }
 
-/// Per-phase latency histograms for the engine's O(N) hot path —
-/// recorded at the *compute* sites only, so cache hits stay free and
-/// the counts line up with the work counters in [`EngineStats`].
+/// The local source's data-pass observability: which scan path the
+/// storage took, and per-phase latency histograms — recorded at the
+/// *compute* sites only, so cache hits stay free and the counts line up
+/// with the executor's work counters in [`EngineStats`].
 #[derive(Debug, Default)]
-pub struct EngineObs {
+struct ScanObs {
+    kernel_scans: AtomicU64,
+    fallback_scans: AtomicU64,
     /// Algorithm 3.1 bucketizations (sample + sort + cut).
-    pub bucketize: Histogram,
+    bucketize: Histogram,
     /// Counting scans through the columnar kernels.
-    pub kernel_scan: Histogram,
+    kernel_scan: Histogram,
     /// Counting scans through the row-visitor fallback.
-    pub fallback_scan: Histogram,
-    /// Rule assembly (the optimization step over bucket summaries).
-    pub optimize: Histogram,
+    fallback_scan: Histogram,
 }
 
-/// Snapshot of [`EngineObs`] — the `engine` object of the server's
-/// `{"cmd":"metrics"}` reply.
+/// Snapshot of the engine's phase histograms — the `engine` object of
+/// the server's `{"cmd":"metrics"}` reply.
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
-    /// Snapshot of [`EngineObs::bucketize`].
+    /// Algorithm 3.1 bucketizations (sample + sort + cut).
     pub bucketize: HistogramSnapshot,
-    /// Snapshot of [`EngineObs::kernel_scan`].
+    /// Counting scans through the columnar kernels.
     pub kernel_scan: HistogramSnapshot,
-    /// Snapshot of [`EngineObs::fallback_scan`].
+    /// Counting scans through the row-visitor fallback.
     pub fallback_scan: HistogramSnapshot,
-    /// Snapshot of [`EngineObs::optimize`].
+    /// Rule assembly (the optimization step over bucket summaries).
     pub optimize: HistogramSnapshot,
+}
+
+/// The local [`CountSource`]: Algorithm 3.1 and the counting kernels
+/// over one pinned relation version. With `obs` it is the engine's own
+/// data pass (kernel-vs-fallback counters, phase histograms); without,
+/// the raw scan a shard runs for a coordinator's `count` / `count2d`
+/// frame — the coordinator owns caching, deduplication and the
+/// observability for that work, so nothing is tallied here.
+pub(crate) struct LocalSource<'a, R> {
+    rel: &'a R,
+    obs: Option<&'a ScanObs>,
+}
+
+impl<'a, R: RandomAccess> LocalSource<'a, R> {
+    /// The untallied source behind a shard's internal frames.
+    pub(crate) fn raw(rel: &'a R) -> Self {
+        Self { rel, obs: None }
+    }
+
+    /// Runs one scan, recording which path this storage takes; parallel
+    /// workers share the capability of `rel`, so one scan is wholly
+    /// kernel or wholly fallback.
+    fn scan<T>(&self, scan: impl FnOnce() -> Result<T>) -> Result<T> {
+        let Some(obs) = self.obs else { return scan() };
+        let (path_counter, path_histogram) = if self.rel.as_columnar().is_some() {
+            (&obs.kernel_scans, &obs.kernel_scan)
+        } else {
+            (&obs.fallback_scans, &obs.fallback_scan)
+        };
+        path_counter.fetch_add(1, Ordering::Relaxed);
+        let timer = Timer::start();
+        let scanned = scan()?;
+        timer.stop(path_histogram);
+        Ok(scanned)
+    }
+}
+
+impl<R: RandomAccess> CountSource for LocalSource<'_, R> {
+    type Error = CoreError;
+
+    fn bucketize(&self, key: BucketKey) -> Result<BucketSpec> {
+        let cfg = EquiDepthConfig {
+            buckets: key.buckets,
+            samples_per_bucket: key.samples_per_bucket,
+            seed: attr_seed(key.seed, key.attr),
+            method: SamplingMethod::WithReplacement,
+        };
+        let timer = Timer::start();
+        let spec = equi_depth_cuts(self.rel, key.attr, &cfg)?;
+        if let Some(obs) = self.obs {
+            timer.stop(&obs.bucketize);
+        }
+        Ok(spec)
+    }
+
+    fn count(
+        &self,
+        attr: NumAttr,
+        cuts: &BucketSpec,
+        what: Option<&CountSpec>,
+        threads: usize,
+    ) -> Result<BucketCounts> {
+        // The shared simple-query scan counts every Boolean attribute
+        // at once; its spec is only built here, on a cold miss.
+        let all_booleans;
+        let what = match what {
+            Some(what) => what,
+            None => {
+                all_booleans = CountSpec::all_booleans(attr, self.rel.schema());
+                &all_booleans
+            }
+        };
+        // One worker is the plain sequential scan.
+        self.scan(|| {
+            Ok(count_buckets_parallel(
+                self.rel,
+                cuts,
+                what,
+                threads.max(1),
+            )?)
+        })
+    }
+
+    fn count_grid(
+        &self,
+        x_attr: NumAttr,
+        y_attr: NumAttr,
+        x_cuts: &BucketSpec,
+        y_cuts: &BucketSpec,
+        presumptive: &Condition,
+        objective: &Condition,
+    ) -> Result<GridCounts> {
+        self.scan(|| {
+            GridCounts::count(
+                self.rel,
+                x_attr,
+                y_attr,
+                x_cuts,
+                y_cuts,
+                presumptive,
+                objective,
+            )
+        })
+    }
 }
 
 impl<R: RandomAccess> SharedEngine<R> {
@@ -432,9 +525,8 @@ impl<R: RandomAccess> SharedEngine<R> {
             writer: Mutex::new(()),
             config,
             cache_config: cache,
-            cache: ShardedCache::new(cache),
-            counters: WorkCounters::default(),
-            obs: EngineObs::default(),
+            exec: Executor::new(cache),
+            obs: ScanObs::default(),
         }
     }
 
@@ -542,32 +634,23 @@ impl<R: RandomAccess> SharedEngine<R> {
     /// tally only once in-flight queries have finished.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            bucketizations: self.counters.bucketizations.load(Ordering::Relaxed),
-            bucket_cache_hits: self.counters.bucket_cache_hits.load(Ordering::Relaxed),
-            scans: self.counters.scans.load(Ordering::Relaxed),
-            scan_cache_hits: self.counters.scan_cache_hits.load(Ordering::Relaxed),
-            kernel_scans: self.counters.kernel_scans.load(Ordering::Relaxed),
-            fallback_scans: self.counters.fallback_scans.load(Ordering::Relaxed),
-            coalesced_waits: self.counters.coalesced_waits.load(Ordering::Relaxed),
-            evictions: self.cache.evictions(),
-            rejected: self.cache.rejected(),
-            lookups: self.cache.lookups(),
-            cached_cost: self.cache.current_cost(),
+            kernel_scans: self.obs.kernel_scans.load(Ordering::Relaxed),
+            fallback_scans: self.obs.fallback_scans.load(Ordering::Relaxed),
             bucketize_ns: self.obs.bucketize.sum(),
             kernel_scan_ns: self.obs.kernel_scan.sum(),
             fallback_scan_ns: self.obs.fallback_scan.sum(),
-            optimize_ns: self.obs.optimize.sum(),
+            ..self.exec.stats()
         }
     }
 
-    /// Per-phase latency histograms (see [`EngineObs`]), snapshotted
-    /// for the `{"cmd":"metrics"}` wire frame.
+    /// Per-phase latency histograms, snapshotted for the
+    /// `{"cmd":"metrics"}` wire frame.
     pub fn engine_metrics(&self) -> EngineMetrics {
         EngineMetrics {
             bucketize: self.obs.bucketize.snapshot(),
             kernel_scan: self.obs.kernel_scan.snapshot(),
             fallback_scan: self.obs.fallback_scan.snapshot(),
-            optimize: self.obs.optimize.snapshot(),
+            optimize: self.exec.optimize_metrics(),
         }
     }
 
@@ -631,13 +714,13 @@ impl<R: RandomAccess> SharedEngine<R> {
     /// Per-shard cache counters (hit/miss/eviction/cost), for
     /// observing shard balance under concurrent traffic.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.cache.shard_stats()
+        self.exec.shard_stats()
     }
 
     /// Current total cost of all cached entries, in cells. Never
     /// exceeds [`CacheConfig::max_cost`].
     pub fn cache_cost(&self) -> u64 {
-        self.cache.current_cost()
+        self.exec.stats().cached_cost
     }
 
     /// Drops all cached bucketizations and scans and resets the
@@ -646,18 +729,12 @@ impl<R: RandomAccess> SharedEngine<R> {
     /// nor for sizing (the bounded cache evicts on its own); it exists
     /// for tests and for reclaiming memory eagerly.
     pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.counters.bucketizations.store(0, Ordering::Relaxed);
-        self.counters.bucket_cache_hits.store(0, Ordering::Relaxed);
-        self.counters.scans.store(0, Ordering::Relaxed);
-        self.counters.scan_cache_hits.store(0, Ordering::Relaxed);
-        self.counters.kernel_scans.store(0, Ordering::Relaxed);
-        self.counters.fallback_scans.store(0, Ordering::Relaxed);
-        self.counters.coalesced_waits.store(0, Ordering::Relaxed);
+        self.exec.clear();
+        self.obs.kernel_scans.store(0, Ordering::Relaxed);
+        self.obs.fallback_scans.store(0, Ordering::Relaxed);
         self.obs.bucketize.reset();
         self.obs.kernel_scan.reset();
         self.obs.fallback_scan.reset();
-        self.obs.optimize.reset();
     }
 
     /// Starts a fluent query over the numeric attribute named `attr`.
@@ -692,10 +769,7 @@ impl<R: RandomAccess> SharedEngine<R> {
     /// # Errors
     ///
     /// Returns the first error in pair order, if any query fails.
-    pub fn mine_all_pairs(&self, threads: usize) -> Result<Vec<RuleSet>>
-    where
-        R: Send + Sync,
-    {
+    pub fn mine_all_pairs(&self, threads: usize) -> Result<Vec<RuleSet>> {
         let schema = self.schema();
         let specs: Vec<QuerySpec> = schema
             .numeric_attrs()
@@ -721,26 +795,15 @@ impl<R: RandomAccess> SharedEngine<R> {
     pub fn run_spec(&self, spec: &QuerySpec) -> Result<RuleSet> {
         let pinned = self.pin();
         let resolved = plan::resolve(&self.schema, &self.config, pinned.generation(), spec)?;
-        self.assemble_resolved(&resolved, &pinned.rel)
+        self.exec.answer(&self.source(&pinned.rel), &resolved)
     }
 
-    /// Fetch-and-assemble for one resolved query: grid queries read
-    /// their grid and run the rectangle optimizers, 1-D queries read
-    /// their counts and run the range optimizers. Either way the
-    /// optimization step lands in the `optimize` histogram.
-    fn assemble_resolved(&self, resolved: &ResolvedQuery, rel: &R) -> Result<RuleSet> {
-        if resolved.grid.is_some() {
-            let grid = self.grid_for_resolved(resolved, rel)?;
-            let timer = Timer::start();
-            let rules = plan::assemble_rect(resolved, &grid);
-            timer.stop(&self.obs.optimize);
-            return rules;
+    /// The engine's own data pass over one pinned relation version.
+    fn source<'a>(&'a self, rel: &'a R) -> LocalSource<'a, R> {
+        LocalSource {
+            rel,
+            obs: Some(&self.obs),
         }
-        let counts = self.counts_for_resolved(resolved, rel)?;
-        let timer = Timer::start();
-        let rules = plan::assemble(resolved, &counts);
-        timer.stop(&self.obs.optimize);
-        rules
     }
 
     /// Compiles a batch of specs into its [`Plan`] without executing:
@@ -755,7 +818,8 @@ impl<R: RandomAccess> SharedEngine<R> {
     /// deduplicated across the whole batch and executed **once each**
     /// over `threads` scoped worker threads (bucketizations first,
     /// then counting scans), after which every query is assembled from
-    /// the warm cache in input order.
+    /// the warm cache in input order — see
+    /// [`Executor::run_plan`].
     ///
     /// The batch pins **one** generation up front: every query in it
     /// sees the same relation snapshot even while appends land
@@ -767,399 +831,11 @@ impl<R: RandomAccess> SharedEngine<R> {
     ///
     /// Specs that fail (unknown names, bad thresholds, bucketing
     /// errors) fail individually; the rest of the batch is unaffected.
-    pub fn run_batch(&self, specs: &[QuerySpec], threads: usize) -> Vec<Result<RuleSet>>
-    where
-        R: Send + Sync,
-    {
+    pub fn run_batch(&self, specs: &[QuerySpec], threads: usize) -> Vec<Result<RuleSet>> {
         let pinned = self.pin();
-        let rel = &*pinned.rel;
         let plan = Plan::compile(&self.schema, &self.config, pinned.generation(), specs);
-        // Phase 1: distinct bucketizations, once each. Errors are not
-        // propagated here — every dependent query re-surfaces them
-        // individually during assembly.
-        fan_out(&plan.buckets, threads, |key| {
-            let _ = self.spec_for(*key, rel);
-        });
-        // Phase 2: distinct counting scans, once each (bucket lookups
-        // are all warm now).
-        fan_out(&plan.scans, threads, |node| {
-            let _ = self.counts_for_node(node, rel);
-        });
-        // Phase 2b: distinct §1.4 grid scans, once each — each grid
-        // fills sequentially (its artifact is worker-count-free), the
-        // fan-out parallelizes across distinct grids.
-        fan_out(&plan.grids, threads, |node| {
-            let _ = self.grid_for_node(node, rel);
-        });
-        // Phase 3: per-query assembly from the warm cache, in input
-        // order — optimizer work only, no relation access.
-        plan.queries
-            .into_iter()
-            .map(|resolved| self.assemble_resolved(&resolved?, rel))
-            .collect()
+        self.exec.run_plan(&self.source(&pinned.rel), plan, threads)
     }
-
-    /// The singleflight cached-compute path shared by bucketizations
-    /// and scans. Exactly one counted cache lookup and one counter
-    /// bump happen per call, so `hits() + misses() == lookups` holds
-    /// at quiescence even across coalesced waits and failed leaders:
-    ///
-    /// * warm → `hit_counter`;
-    /// * cold, this thread leads → `work_counter`, bumped at miss time
-    ///   (before the fallible compute) so failures stay visible;
-    /// * cold, another thread leads → parked on its flight, then
-    ///   `hit_counter` + `coalesced_waits` — the expensive work ran
-    ///   **once** however many threads missed together;
-    /// * the leader failed → retry (possibly leading this time).
-    fn cached_or_compute(
-        &self,
-        key: CacheKey,
-        hit_counter: &AtomicU64,
-        work_counter: &AtomicU64,
-        compute: impl FnOnce() -> Result<(CacheValue, u64)>,
-    ) -> Result<CacheValue> {
-        if let Some(value) = self.cache.get(&key) {
-            hit_counter.fetch_add(1, Ordering::Relaxed);
-            return Ok(value);
-        }
-        let mut compute = Some(compute);
-        loop {
-            match self.cache.begin(&key) {
-                FlightRole::Ready(value) => {
-                    hit_counter.fetch_add(1, Ordering::Relaxed);
-                    return Ok(value);
-                }
-                FlightRole::Leader(flight) => {
-                    work_counter.fetch_add(1, Ordering::Relaxed);
-                    let compute = compute.take().expect("a caller leads at most one flight");
-                    match compute() {
-                        Ok((value, cost)) => {
-                            // Insert before finishing the flight:
-                            // `begin` re-checks the cache under the
-                            // registry lock, so post-flight arrivals
-                            // are guaranteed to find the value.
-                            self.cache.insert(key, value.clone(), cost);
-                            flight.finish(Some(value.clone()));
-                            return Ok(value);
-                        }
-                        Err(e) => {
-                            flight.finish(None);
-                            return Err(e);
-                        }
-                    }
-                }
-                FlightRole::Waiter(flight) => {
-                    if let Some(value) = flight.wait() {
-                        hit_counter.fetch_add(1, Ordering::Relaxed);
-                        self.counters
-                            .coalesced_waits
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Ok(value);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Step 1 (cached, coalesced): bucket boundaries via Algorithm
-    /// 3.1 over `rel`, which **must** be the relation version of the
-    /// generation named by `key.gen` (callers pass their pinned
-    /// generation). On a cold miss the sampling + sort runs *outside*
-    /// any lock, and concurrent misses on the same key wait for the
-    /// one computing thread instead of duplicating the work.
-    pub(crate) fn spec_for(&self, key: BucketKey, rel: &R) -> Result<Arc<BucketSpec>> {
-        let value = self.cached_or_compute(
-            CacheKey::Bucket(key),
-            &self.counters.bucket_cache_hits,
-            &self.counters.bucketizations,
-            || {
-                let cfg = EquiDepthConfig {
-                    buckets: key.buckets,
-                    samples_per_bucket: key.samples_per_bucket,
-                    seed: attr_seed(key.seed, key.attr),
-                    method: SamplingMethod::WithReplacement,
-                };
-                let timer = Timer::start();
-                let spec = Arc::new(equi_depth_cuts(rel, key.attr, &cfg)?);
-                timer.stop(&self.obs.bucketize);
-                let cost = spec_cost(&spec);
-                Ok((CacheValue::Spec(spec), cost))
-            },
-        )?;
-        match value {
-            CacheValue::Spec(spec) => Ok(spec),
-            _ => unreachable!("bucket key holds a spec"),
-        }
-    }
-
-    /// The shared simple-query scan: every Boolean attribute counted at
-    /// once. Warm lookups are allocation-free — the spec is only built
-    /// on a cache miss.
-    pub(crate) fn counts_for_all_booleans(
-        &self,
-        key: BucketKey,
-        threads: usize,
-        rel: &R,
-    ) -> Result<Arc<BucketCounts>> {
-        self.counts_for_key(
-            key,
-            ScanWhat::AllBooleans,
-            |rel| CountSpec {
-                attr: key.attr,
-                presumptive: Condition::True,
-                bool_targets: rel
-                    .schema()
-                    .boolean_attrs()
-                    .map(|battr| Condition::BoolIs(battr, true))
-                    .collect(),
-                sum_targets: Vec::new(),
-            },
-            threads,
-            rel,
-        )
-    }
-
-    fn counts_for_key(
-        &self,
-        key: BucketKey,
-        what: ScanWhat,
-        build_spec: impl FnOnce(&R) -> CountSpec,
-        threads: usize,
-        rel: &R,
-    ) -> Result<Arc<BucketCounts>> {
-        let scan_key = ScanKey {
-            bucket: key,
-            threads,
-            what,
-        };
-        let value = self.cached_or_compute(
-            CacheKey::Scan(scan_key),
-            &self.counters.scan_cache_hits,
-            &self.counters.scans,
-            || {
-                let what = build_spec(rel);
-                let spec = self.spec_for(key, rel)?;
-                // Record which scan path this storage takes; parallel
-                // workers share the capability of `rel`, so one scan is
-                // wholly kernel or wholly fallback.
-                let (path_counter, path_histogram) = if rel.as_columnar().is_some() {
-                    (&self.counters.kernel_scans, &self.obs.kernel_scan)
-                } else {
-                    (&self.counters.fallback_scans, &self.obs.fallback_scan)
-                };
-                path_counter.fetch_add(1, Ordering::Relaxed);
-                let timer = Timer::start();
-                let counts = if threads > 1 {
-                    count_buckets_parallel(rel, &spec, &what, threads)?
-                } else {
-                    count_buckets(rel, &spec, &what)?
-                };
-                timer.stop(path_histogram);
-                // Cache the *compacted* counts: every consumer compacts
-                // before optimizing, so compacting once per scan keeps
-                // warm queries free of the O(M · targets) copy.
-                let (_, counts) = counts.compact();
-                let counts = Arc::new(counts);
-                let cost = counts_cost(&counts);
-                Ok((CacheValue::Counts(counts), cost))
-            },
-        )?;
-        match value {
-            CacheValue::Counts(counts) => Ok(counts),
-            _ => unreachable!("scan key holds counts"),
-        }
-    }
-
-    /// The counts a resolved query reads, via whichever scan shape it
-    /// planned (shared all-Booleans or its own counting spec). `rel`
-    /// must be the pinned generation the query resolved against.
-    pub(crate) fn counts_for_resolved(
-        &self,
-        resolved: &ResolvedQuery,
-        rel: &R,
-    ) -> Result<Arc<BucketCounts>> {
-        match &resolved.count_spec {
-            None => self.counts_for_all_booleans(resolved.key, resolved.threads, rel),
-            Some(count_spec) => self.counts_for_key(
-                resolved.key,
-                resolved.what.clone(),
-                |_| count_spec.clone(),
-                resolved.threads,
-                rel,
-            ),
-        }
-    }
-
-    /// Runs one **raw, uncached** counting scan over `rel` with the
-    /// given bucket boundaries — the building block of a shard's
-    /// `{"cmd":"count"}` frame. The result is left **uncompacted** so
-    /// partial counts from different shards stay bucket-aligned for
-    /// [`BucketCounts::merge`]; the coordinator compacts once after
-    /// merging. No cache is consulted or filled and no counters are
-    /// bumped: in a scatter-gather topology the coordinator owns
-    /// caching, deduplication, and the observability for this work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates counting/storage errors.
-    pub fn count_raw(
-        &self,
-        spec: &BucketSpec,
-        what: &CountSpec,
-        threads: usize,
-        rel: &R,
-    ) -> Result<BucketCounts>
-    where
-        R: Send + Sync,
-    {
-        let counts = if threads > 1 {
-            count_buckets_parallel(rel, spec, what, threads)?
-        } else {
-            count_buckets(rel, spec, what)?
-        };
-        Ok(counts)
-    }
-
-    /// Executes one deduplicated scan node of a [`Plan`].
-    fn counts_for_node(&self, node: &ScanNode, rel: &R) -> Result<Arc<BucketCounts>> {
-        match &node.count_spec {
-            None => self.counts_for_all_booleans(node.key, node.threads, rel),
-            Some(count_spec) => self.counts_for_key(
-                node.key,
-                node.what.clone(),
-                |_| count_spec.clone(),
-                node.threads,
-                rel,
-            ),
-        }
-    }
-
-    /// The §1.4 grid-counting scan (cached, coalesced): bucketizes
-    /// both axes, then one sequential scan filling the cell grid.
-    /// Grid scans share the 1-D scan counters (`scans` /
-    /// `scan_cache_hits`, the kernel/fallback split, and the scan
-    /// histograms) — a grid is "a counting scan over two axes", and
-    /// keeping the tallies unified leaves the stats wire schema
-    /// unchanged. The conditions are only consulted on a cold miss;
-    /// warm lookups touch just the key.
-    fn grid_for_key(
-        &self,
-        key: &GridKey,
-        presumptive: &Condition,
-        objective: &Condition,
-        rel: &R,
-    ) -> Result<Arc<GridCounts>> {
-        let value = self.cached_or_compute(
-            CacheKey::Grid(key.clone()),
-            &self.counters.scan_cache_hits,
-            &self.counters.scans,
-            || {
-                let x_spec = self.spec_for(key.x, rel)?;
-                let y_spec = self.spec_for(key.y, rel)?;
-                let (path_counter, path_histogram) = if rel.as_columnar().is_some() {
-                    (&self.counters.kernel_scans, &self.obs.kernel_scan)
-                } else {
-                    (&self.counters.fallback_scans, &self.obs.fallback_scan)
-                };
-                path_counter.fetch_add(1, Ordering::Relaxed);
-                let timer = Timer::start();
-                let grid = GridCounts::count(
-                    rel,
-                    key.x.attr,
-                    key.y.attr,
-                    &x_spec,
-                    &y_spec,
-                    presumptive,
-                    objective,
-                )?;
-                timer.stop(path_histogram);
-                let grid = Arc::new(grid);
-                let cost = grid_cost(&grid);
-                Ok((CacheValue::Grid(grid), cost))
-            },
-        )?;
-        match value {
-            CacheValue::Grid(grid) => Ok(grid),
-            _ => unreachable!("grid key holds a grid"),
-        }
-    }
-
-    /// Executes one deduplicated grid node of a [`Plan`].
-    fn grid_for_node(&self, node: &GridNode, rel: &R) -> Result<Arc<GridCounts>> {
-        self.grid_for_key(&node.key, &node.presumptive, &node.objective, rel)
-    }
-
-    /// The grid a resolved §1.4 rectangle query reads. `rel` must be
-    /// the pinned generation the query resolved against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a one-dimensional query.
-    pub(crate) fn grid_for_resolved(
-        &self,
-        resolved: &ResolvedQuery,
-        rel: &R,
-    ) -> Result<Arc<GridCounts>> {
-        let part = resolved
-            .grid
-            .as_ref()
-            .expect("grid_for_resolved called on a one-dimensional query");
-        let key = resolved.grid_key().expect("grid part implies grid key");
-        self.grid_for_key(&key, &part.presumptive, &part.objective, rel)
-    }
-
-    /// Runs one **raw, uncached** §1.4 grid-counting scan over `rel`
-    /// with the given axis boundaries — the building block of a
-    /// shard's `{"cmd":"count2d"}` frame. No cache is consulted or
-    /// filled and no counters are bumped: the coordinator owns
-    /// caching, deduplication, and observability for this work.
-    /// Unlike [`count_raw`](Self::count_raw) there is no compaction
-    /// concern — shard grids stay cell-aligned by construction and
-    /// merge via [`GridCounts::merge`], and optimization always runs
-    /// centrally, never on shards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates counting/storage errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn count_grid_raw(
-        &self,
-        x_attr: NumAttr,
-        y_attr: NumAttr,
-        x_spec: &BucketSpec,
-        y_spec: &BucketSpec,
-        presumptive: &Condition,
-        objective: &Condition,
-        rel: &R,
-    ) -> Result<GridCounts> {
-        GridCounts::count(rel, x_attr, y_attr, x_spec, y_spec, presumptive, objective)
-    }
-}
-
-/// Fans `items` out over up to `threads` scoped worker threads pulling
-/// from a shared index — the work-queue used for plan-node execution.
-/// Order of execution is irrelevant by construction (each item's
-/// effect depends only on the item), so no reassembly is needed.
-/// Public so plan executors outside this crate (the scatter-gather
-/// coordinator) can run nodes with the same discipline.
-pub fn fan_out<T: Sync>(items: &[T], threads: usize, run: impl Fn(&T) + Sync) {
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        for item in items {
-            run(item);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                run(item);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1167,7 +843,7 @@ mod tests {
     use super::*;
     use crate::ratio::Ratio;
     use optrules_relation::gen::{BankGenerator, DataGenerator};
-    use optrules_relation::Relation;
+    use optrules_relation::{Relation, TupleScan};
 
     fn bank_shared(rows: u64, seed: u64, buckets: usize) -> SharedEngine<Relation> {
         let rel = BankGenerator::default().to_relation(rows, seed);
@@ -1222,6 +898,12 @@ mod tests {
     fn mine_all_pairs_matches_lazy_iterator_any_thread_count() {
         let engine = bank_shared(5_000, 3, 50);
         let lazy: Vec<_> = engine.queries_for_all_pairs().map(|r| r.unwrap()).collect();
+        // 4 numeric × 3 boolean attributes, streamed numeric-major, one
+        // scan per numeric attribute.
+        assert_eq!(lazy.len(), 12);
+        assert_eq!(lazy[0].attr_name, lazy[2].attr_name);
+        let stats = engine.stats();
+        assert_eq!((stats.scans, stats.scan_cache_hits), (4, 8));
         for threads in [1, 2, 4, 8] {
             let fanned = engine.mine_all_pairs(threads).unwrap();
             assert_eq!(fanned, lazy, "threads={threads}");
@@ -1389,12 +1071,67 @@ mod tests {
     #[test]
     fn clear_cache_takes_shared_self() {
         let engine = bank_shared(2_000, 9, 20);
-        engine
+        let query = || {
+            engine
+                .query("Balance")
+                .objective_is("CardLoan")
+                .run()
+                .unwrap()
+        };
+        query();
+        engine.clear_cache();
+        assert_eq!(engine.stats(), EngineStats::default());
+        // The cleared entry is recomputed, not remembered.
+        query();
+        assert_eq!(engine.stats().scans, 1);
+    }
+
+    #[test]
+    fn recovers_planted_rule_through_fluent_query() {
+        let engine = bank_shared(40_000, 11, 200);
+        let rules = engine
             .query("Balance")
             .objective_is("CardLoan")
             .run()
             .unwrap();
-        engine.clear_cache();
-        assert_eq!(engine.stats(), EngineStats::default());
+        let sup = rules.optimized_support().expect("confident range exists");
+        assert!(sup.value_range.0 > 2500.0 && sup.value_range.0 < 3500.0);
+        assert!(sup.value_range.1 > 7500.0 && sup.value_range.1 < 8500.0);
+        assert!(sup.confidence() >= 0.62);
+        let conf = rules.optimized_confidence().expect("ample range exists");
+        assert!(conf.support() >= 0.099);
+    }
+
+    #[test]
+    fn empty_relation_yields_error() {
+        let rel = Relation::new(Schema::builder().numeric("X").boolean("B").build());
+        let engine = SharedEngine::new(rel);
+        assert!(engine.query("X").objective_is("B").run().is_err());
+    }
+
+    #[test]
+    fn unknown_names_surface_as_errors_not_panics() {
+        let engine = bank_shared(1_000, 1, 10);
+        assert!(engine
+            .query("NoSuchAttr")
+            .objective_is("CardLoan")
+            .run()
+            .is_err());
+        assert!(engine
+            .query("Balance")
+            .objective_is("NoSuchBool")
+            .run()
+            .is_err());
+        assert!(engine
+            .query("Balance")
+            .with_task(crate::query::Task::Both)
+            .is_err());
+    }
+
+    #[test]
+    fn into_relation_hands_back_the_current_generation() {
+        let engine = bank_shared(1_000, 1, 10);
+        let rel = Arc::try_unwrap(engine.into_relation()).expect("no pins outstanding");
+        assert_eq!(rel.len(), 1_000);
     }
 }

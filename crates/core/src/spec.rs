@@ -181,7 +181,7 @@ pub enum ObjectiveSpec {
 /// JSON request protocol ([`crate::json`]).
 ///
 /// `None` fields fall back to the engine's
-/// [`EngineConfig`](crate::engine::EngineConfig) when the spec runs, so
+/// [`EngineConfig`](crate::EngineConfig) when the spec runs, so
 /// one spec file works across sessions with different defaults.
 ///
 /// Run one spec with

@@ -85,7 +85,7 @@ pub trait RandomAccess: TupleScan {
 }
 
 // Shared references scan like the relation itself, so session objects
-// (e.g. the core crate's `Engine`) can either own a relation or borrow
+// (e.g. the core crate's `SharedEngine`) can either own a relation or borrow
 // one without a separate code path.
 impl<T: TupleScan + ?Sized> TupleScan for &T {
     fn schema(&self) -> &Schema {

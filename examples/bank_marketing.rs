@@ -26,7 +26,7 @@ fn main() {
         100.0 * generator.card_loan_in,
     );
 
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 500,

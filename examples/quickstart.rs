@@ -1,5 +1,5 @@
 //! Quickstart: mine both optimized rules from a tiny in-memory relation
-//! through an `Engine` session.
+//! through a `SharedEngine` session.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -27,7 +27,7 @@ fn main() {
 
     // The engine owns the relation and caches bucketization + counting
     // scans, so follow-up queries skip the O(N) work.
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 100,

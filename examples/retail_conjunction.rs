@@ -24,7 +24,7 @@ fn main() {
         100.0 * generator.potato_in,
     );
 
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 200,

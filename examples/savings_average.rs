@@ -40,7 +40,7 @@ fn main() {
         generator.saving_mean_out,
     );
 
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 400,

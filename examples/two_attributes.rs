@@ -33,7 +33,7 @@ fn main() {
         100.0 * generator.conf_out,
     );
 
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             // 48 × 48 grid: `buckets` caps the *cell* budget for 2-D

@@ -26,7 +26,7 @@ case "$tier" in
     benches=(engine_cache append_throughput coord_scatter_gather region2d)
     ;;
   full)
-    benches=(miner confidence support hull bucketing sample_size parallel
+    benches=(confidence support hull bucketing sample_size parallel
              engine_cache concurrent_engine batch_plan serve_throughput
              append_throughput durability coord_scatter_gather region2d)
     ;;

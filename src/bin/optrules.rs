@@ -36,7 +36,7 @@
 //! Relation files are the fixed-width format written by
 //! `FileRelationWriter` (see `optrules::relation::file`). Percentages
 //! are whole numbers (`--min-support 10` means 10 %). Mining runs on
-//! the `Engine`/`SharedEngine` session API, so `mine-all` shares one
+//! the `SharedEngine` session API, so `mine-all` shares one
 //! counting scan per numeric attribute across all Boolean targets.
 //!
 //! `--threads` means different things per subcommand: for `mine` and
@@ -538,10 +538,10 @@ fn recover_durable(
 fn engine_from_flags(
     path: &str,
     flags: &HashMap<&str, &str>,
-) -> Result<Engine<FileRelation>, String> {
+) -> Result<SharedEngine<FileRelation>, String> {
     let rel = FileRelation::open(path).map_err(|e| e.to_string())?;
     let scan_threads = flag_num(flags, "threads", 1usize)?;
-    Ok(Engine::with_config(
+    Ok(SharedEngine::with_config(
         rel,
         config_from_flags(flags, scan_threads)?,
     ))
@@ -550,7 +550,7 @@ fn engine_from_flags(
 fn mine(path: &str, flags: &HashMap<&str, &str>) -> CliResult {
     // Validated before mining: a typo'd --format must not cost a scan.
     let format = parse_format(flags)?;
-    let mut engine = engine_from_flags(path, flags)?;
+    let engine = engine_from_flags(path, flags)?;
     let schema = engine.relation().schema().clone();
     let attr = *flags.get("attr").ok_or("--attr is required")?;
     let target = *flags.get("target").ok_or("--target is required")?;
@@ -614,7 +614,7 @@ fn mine_all(path: &str, flags: &HashMap<&str, &str>) -> CliResult {
 fn avg(path: &str, flags: &HashMap<&str, &str>) -> CliResult {
     // Validated before mining: a typo'd --format must not cost a scan.
     let format = parse_format(flags)?;
-    let mut engine = engine_from_flags(path, flags)?;
+    let engine = engine_from_flags(path, flags)?;
     let attr = *flags.get("attr").ok_or("--attr is required")?;
     let target = *flags.get("target").ok_or("--target is required")?;
     let min_avg: f64 = flag_num(flags, "min-avg", 0.0)?;

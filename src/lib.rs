@@ -23,10 +23,11 @@
 //!
 //! ## Quick start
 //!
-//! Mining is a session: an [`Engine`](core::engine::Engine) owns the
-//! relation and caches bucketizations and counting scans, so repeated
-//! queries — the paper's §1.3 interactive scenario — skip the O(N)
-//! work. Queries are phrased with the fluent builder:
+//! Mining is a session: a [`SharedEngine`](core::shared::SharedEngine)
+//! owns the relation and caches bucketizations and counting scans, so
+//! repeated queries — the paper's §1.3 interactive scenario — skip the
+//! O(N) work. Queries take `&self` (share the engine across threads by
+//! reference) and are phrased with the fluent builder:
 //!
 //! ```
 //! use optrules::prelude::*;
@@ -41,7 +42,7 @@
 //!     rel.push_row(&[balance], &[loan]).unwrap();
 //! }
 //!
-//! let mut engine = Engine::with_config(
+//! let engine = SharedEngine::with_config(
 //!     rel,
 //!     EngineConfig { buckets: 50, ..EngineConfig::default() },
 //! );
@@ -87,11 +88,12 @@
 //! * [`bucketing`] — randomized equi-depth bucketing (Algorithm 3.1),
 //!   parallel counting (Algorithm 3.2), and the sort-based baselines;
 //! * [`core`] — the optimizers, the average-operator ranges
-//!   (Section 5), and the [`core::engine::Engine`] /
-//!   [`core::shared::SharedEngine`] / [`core::query::Query`] session
-//!   API with its bounded sharded cache ([`core::cache`]) — plus the
-//!   deprecated [`core::miner::Miner`] one-shot shim. `SharedEngine`
-//!   takes `&self` and is `Send + Sync` for parallel query traffic.
+//!   (Section 5), and the [`core::shared::SharedEngine`] /
+//!   [`core::query::Query`] session API. `SharedEngine` takes `&self`
+//!   and is `Send + Sync` for parallel query traffic; underneath it is
+//!   one [`core::exec::Executor`] (bounded sharded cache
+//!   ([`core::cache`]), singleflight, plan fan-out, rule assembly)
+//!   reading rows through a [`core::exec::CountSource`].
 //!   The declarative layer on top — plain-data
 //!   [`core::spec::QuerySpec`]s, the batch planner ([`core::plan`])
 //!   behind `SharedEngine::run_batch`, and the JSON protocol
@@ -107,7 +109,8 @@
 //!   (`--data-dir` on the CLI), so acknowledged appends survive a
 //!   crash and `optrules serve` resumes where it left off;
 //! * [`coord`] — the scatter-gather coordinator (`optrules coord`): a
-//!   thin front end that plans and optimizes centrally but delegates
+//!   thin front end running the same `Executor` over a shard-set
+//!   `CountSource`: it plans and optimizes centrally but delegates
 //!   the data pass (sampling fetches, counting scans) to a set of
 //!   `optrules serve` shards over the same NDJSON protocol, merging
 //!   per-shard partial bucket counts — answers byte-identical to a
@@ -137,14 +140,11 @@ pub mod prelude {
     pub use crate::bucketing::{BucketSpec, CountSpec, EquiDepthConfig, SamplingMethod};
     pub use crate::coord::{CoordConfig, CoordError, Coordinator, ShardSet};
     pub use crate::core::average::{maximum_average_range, maximum_support_range};
-    #[allow(deprecated)]
-    pub use crate::core::Miner;
     pub use crate::core::{
         optimize_confidence, optimize_support, AppendOutcome, AvgRule, CacheConfig, CondSpec,
-        Engine, EngineConfig, EngineStats, GridCounts, MinedAverage, MinedPair, MinerConfig,
-        Objective, ObjectiveSpec, OptRange, Pinned, Plan, Query, QuerySpec, RangeRule, Ratio, Real,
-        RectRule, Rule, RuleKind, RuleSet, ServerConfig, ServerHandle, ShardStats, SharedEngine,
-        StatsSnapshot, Task,
+        EngineConfig, EngineStats, GridCounts, Objective, ObjectiveSpec, OptRange, Pinned, Plan,
+        Query, QuerySpec, RangeRule, Ratio, Real, RectRule, Rule, RuleKind, RuleSet, ServerConfig,
+        ServerHandle, ShardStats, SharedEngine, StatsSnapshot, Task,
     };
     pub use crate::relation::gen::{
         BankGenerator, DataGenerator, PlantedRangeGenerator, RetailGenerator, UniformWorkload,
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn facade_exposes_the_session_pipeline() {
         let rel = PlantedRangeGenerator::table1().to_relation(2000, 1);
-        let mut engine = Engine::with_config(
+        let engine = SharedEngine::with_config(
             rel,
             EngineConfig {
                 buckets: 40,

@@ -320,6 +320,45 @@ fn appends_route_to_last_shard_and_stay_byte_identical() {
     single.join();
 }
 
+/// The coordinator runs the same singleflight as a single node: eight
+/// threads missing on one cold spec together fan out to the shards
+/// once, and everyone gets the same answer.
+#[test]
+fn concurrent_cold_segments_coalesce_onto_one_scatter_gather() {
+    let full = BankGenerator::default().to_relation(20_000, 5);
+    let (shards, addrs) = shard_servers(&full, &[7_000, 14_000]);
+    let coord = coordinator(&addrs);
+    let spec = [QuerySpec::boolean("Balance", "CardLoan")];
+    let barrier = std::sync::Barrier::new(8);
+    let answers: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    coord.run_segment(&spec, 1)[0].encode()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(answers[0].starts_with("{\"ok\":"), "{}", answers[0]);
+    assert!(answers.iter().all(|a| *a == answers[0]));
+
+    let stats = coord.stats(None).encode();
+    assert_eq!(ok_field(&stats, "scans"), 1, "{stats}");
+    assert_eq!(ok_field(&stats, "bucketizations"), 1, "{stats}");
+    // Each segment looks its scan up twice — once as a plan node, once
+    // to assemble — and only the leader's first lookup computed.
+    assert_eq!(ok_field(&stats, "scan_cache_hits"), 15, "{stats}");
+    // One merged partial per shard, for the one scan that ran.
+    assert_eq!(ok_field(&stats, "merged_nodes"), 3, "{stats}");
+
+    coord.drain_shards();
+    for shard in shards {
+        shard.join();
+    }
+}
+
 /// The shard-internal frames are not part of the coordinator's public
 /// surface: a client sending them gets an error, not a fan-out.
 #[test]

@@ -7,15 +7,15 @@
 //! moment the shard is restarted on its old address. Finally the
 //! coordinator's shutdown must drain the surviving shards even though
 //! one backend is (again) already dead.
+//!
+//! A second case restarts a shard at the *same generation* over a file
+//! with a different row count: the pin's row check must catch it and
+//! say "row count", not "generation".
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+mod common;
+
+use common::{bin, roundtrip, shutdown, spawn_listening, Server};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_optrules"))
-}
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -24,35 +24,8 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-struct Server {
-    child: Child,
-    addr: String,
-}
-
-/// Spawns a subcommand that prints `listening on <addr>` and parses
-/// the bound address from its stdout.
-fn spawn_listening(args: &[&str]) -> Server {
-    let mut child = bin()
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("process spawns");
-    let stdout = child.stdout.as_mut().expect("stdout piped");
-    let mut first = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut first)
-        .expect("read listening line");
-    let addr = first
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected first line {first:?}"))
-        .to_string();
-    Server { child, addr }
-}
-
 fn spawn_shard(path: &str, addr: &str) -> Server {
-    spawn_listening(&[
+    spawn_listening(bin().args([
         "serve",
         path,
         "--addr",
@@ -65,37 +38,26 @@ fn spawn_shard(path: &str, addr: &str) -> Server {
         "60",
         "--seed",
         "7",
-    ])
-}
-
-fn roundtrip(addr: &str, input: &str) -> Vec<String> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(input.as_bytes()).expect("send");
-    stream.shutdown(Shutdown::Write).expect("half-close");
-    BufReader::new(stream)
-        .lines()
-        .map(|line| line.expect("read"))
-        .collect()
+    ]))
 }
 
 const WARM_SPEC: &str = "{\"attr\":\"Balance\",\"objective\":{\"bool\":\"CardLoan\"}}\n";
 const COLD_SPEC: &str =
     "{\"attr\":\"CheckingAccount\",\"objective\":{\"bool\":\"AutoWithdraw\"}}\n";
 
-#[test]
-fn killing_a_shard_degrades_gracefully_and_recovers() {
-    // One bank relation, sliced into three shard files whose
-    // concatenation is the original (also exercising `optrules slice`).
-    let full = tmp("full");
+/// Generates a 6000-row bank relation at `tmp("{tag}-full")` and slices
+/// each `(start, end)` row range of it into its own file.
+fn gen_and_slice(tag: &str, ranges: &[(u64, u64)]) -> (PathBuf, Vec<PathBuf>) {
+    let full = tmp(&format!("{tag}-full"));
     let full_s = full.to_str().unwrap();
     let gen = bin()
         .args(["gen", "bank", full_s, "--rows", "6000", "--seed", "3"])
         .output()
         .expect("gen runs");
     assert!(gen.status.success());
-    let mut shard_paths = Vec::new();
-    for (i, (start, end)) in [(0, 2000), (2000, 4000), (4000, 6000)].iter().enumerate() {
-        let path = tmp(&format!("shard{i}"));
+    let mut slices = Vec::new();
+    for (i, (start, end)) in ranges.iter().enumerate() {
+        let path = tmp(&format!("{tag}-slice{i}"));
         let out = bin()
             .args([
                 "slice",
@@ -109,11 +71,40 @@ fn killing_a_shard_degrades_gracefully_and_recovers() {
             .output()
             .expect("slice runs");
         assert!(out.status.success(), "{out:?}");
-        shard_paths.push(path);
+        slices.push(path);
     }
+    (full, slices)
+}
+
+fn spawn_coord(shard_list: &str) -> Server {
+    spawn_listening(bin().args([
+        "coord",
+        "--addr",
+        "127.0.0.1:0",
+        "--shards",
+        shard_list,
+        "--buckets",
+        "80",
+        "--min-support",
+        "10",
+        "--min-confidence",
+        "60",
+        "--seed",
+        "7",
+        "--retry-backoff-ms",
+        "10",
+    ]))
+}
+
+#[test]
+fn killing_a_shard_degrades_gracefully_and_recovers() {
+    // One bank relation, sliced into three shard files whose
+    // concatenation is the original (also exercising `optrules slice`).
+    let (full, shard_paths) = gen_and_slice("kill", &[(0, 2000), (2000, 4000), (4000, 6000)]);
+    let full_s = full.to_str().unwrap();
 
     // The single-node oracle over the unsliced rows.
-    let mut single = spawn_shard(full_s, "127.0.0.1:0");
+    let single = spawn_shard(full_s, "127.0.0.1:0");
     let warm_expected = roundtrip(&single.addr, WARM_SPEC);
     let cold_expected = roundtrip(&single.addr, COLD_SPEC);
 
@@ -126,21 +117,7 @@ fn killing_a_shard_degrades_gracefully_and_recovers() {
         .map(|s| s.addr.clone())
         .collect::<Vec<_>>()
         .join(",");
-    let mut coord = spawn_listening(&[
-        "coord",
-        "--shards",
-        &shard_list,
-        "--buckets",
-        "80",
-        "--min-support",
-        "10",
-        "--min-confidence",
-        "60",
-        "--seed",
-        "7",
-        "--retry-backoff-ms",
-        "10",
-    ]);
+    let mut coord = spawn_coord(&shard_list);
 
     // Warm up, verifying byte-identity against the single node.
     assert_eq!(roundtrip(&coord.addr, WARM_SPEC), warm_expected);
@@ -197,12 +174,65 @@ fn killing_a_shard_degrades_gracefully_and_recovers() {
     assert!(shards[1].child.wait().expect("shard 1 exits").success());
     assert!(shards[2].child.wait().expect("shard 2 exits").success());
 
-    let bye = roundtrip(&single.addr, "{\"cmd\":\"shutdown\"}\n");
-    assert_eq!(bye, ["{\"ok\":\"shutdown\"}"]);
-    assert!(single.child.wait().expect("single exits").success());
+    shutdown(single);
 
     std::fs::remove_file(&full).unwrap();
     for path in shard_paths {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+/// A shard that comes back at the **same generation** over a file with
+/// a different row count passes the generation check; the row check
+/// must fail the query — naming the row counts as row counts — and
+/// resync, so the next segment pins the new view and answers what a
+/// single node over the new concatenation answers.
+#[test]
+fn a_shard_restarted_over_different_rows_fails_with_a_row_count_error() {
+    // Slices 0 and 1 are the original shards; slice 2 replaces shard 1
+    // with more rows; slice 3 is the concatenation after the swap.
+    let ranges = [(0, 2000), (2000, 4000), (2000, 5000), (0, 5000)];
+    let (full, slices) = gen_and_slice("rows", &ranges);
+    let path = |i: usize| slices[i].to_str().unwrap();
+
+    let mut shards = vec![
+        spawn_shard(path(0), "127.0.0.1:0"),
+        spawn_shard(path(1), "127.0.0.1:0"),
+    ];
+    let coord = spawn_coord(&format!("{},{}", shards[0].addr, shards[1].addr));
+    assert!(roundtrip(&coord.addr, WARM_SPEC)[0].starts_with("{\"ok\":"));
+
+    shards[1].child.kill().expect("kill -9 shard 1");
+    shards[1].child.wait().expect("reap shard 1");
+    shards[1] = spawn_shard(path(2), &shards[1].addr);
+
+    // The sampled indices still fall inside the (longer) new file and
+    // the generation is 0 again, so only the count reply's row total
+    // gives the swap away.
+    let stale = roundtrip(&coord.addr, COLD_SPEC);
+    assert_eq!(
+        stale,
+        [
+            "{\"error\":{\"shard\":1,\"message\":\"row count changed under the pinned \
+          snapshot (pinned 2000, now 3000)\"}}"
+        ]
+    );
+
+    // The failure resynced the view: the same spec now matches a single
+    // node over the new concatenation.
+    let single = spawn_shard(path(3), "127.0.0.1:0");
+    assert_eq!(
+        roundtrip(&coord.addr, COLD_SPEC),
+        roundtrip(&single.addr, COLD_SPEC)
+    );
+
+    shutdown(coord);
+    for mut shard in shards {
+        assert!(shard.child.wait().expect("shard exits").success());
+    }
+    shutdown(single);
+    std::fs::remove_file(&full).unwrap();
+    for path in slices {
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -55,12 +55,12 @@ fn file_backed_mining_matches_in_memory() {
         ..EngineConfig::default()
     };
 
-    let from_mem = Engine::with_config(&mem, config)
+    let from_mem = SharedEngine::with_config(&mem, config)
         .query("Balance")
         .objective_is("CardLoan")
         .run()
         .unwrap();
-    let from_file = Engine::with_config(&file, config)
+    let from_file = SharedEngine::with_config(&file, config)
         .query("Balance")
         .objective_is("CardLoan")
         .run()
@@ -84,7 +84,7 @@ fn mining_determinism_and_seed_stability() {
     };
     // Two independent engines (no shared cache) must agree exactly.
     let mine = |cfg: EngineConfig| {
-        Engine::with_config(&rel, cfg)
+        SharedEngine::with_config(&rel, cfg)
             .query("A")
             .objective_is("C")
             .run()
@@ -131,7 +131,7 @@ fn quickstart_pipeline() {
         let loan = (3000.0..=7000.0).contains(&balance) && i % 3 != 0;
         rel.push_row(&[balance], &[loan]).unwrap();
     }
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 50,

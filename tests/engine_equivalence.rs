@@ -2,22 +2,14 @@
 //! result must be byte-identical to what a cold, cache-free run of the
 //! same pipeline produces — across seeds, generators, and query kinds.
 //!
-//! Two independent oracles guard this:
-//!
-//! * the **direct pipeline** (`equi_depth_cuts` → `count_buckets` →
-//!   optimizers), reimplemented here exactly as the legacy `Miner`
-//!   historically ran it, sharing no code with the engine's caching
-//!   paths;
-//! * the **`Miner` shim**, whose results must keep matching the engine
-//!   it delegates to.
-
-#![allow(deprecated)]
+//! The oracle is the **direct pipeline** (`equi_depth_cuts` →
+//! `count_buckets` → optimizers), inlined here and sharing no code with
+//! the engine's caching paths.
 
 use optrules::bucketing::{count_buckets, equi_depth_cuts, CountSpec, EquiDepthConfig};
-use optrules::core::engine::Engine as CoreEngine;
 use optrules::prelude::*;
 
-/// The legacy pipeline, inlined: one bucketization (with the engine's
+/// The cache-free pipeline, inlined: one bucketization (with the engine's
 /// per-attribute seed mix) and one counting scan, then both optimizers.
 #[allow(clippy::too_many_arguments)]
 fn direct_pair(
@@ -90,7 +82,7 @@ fn engine_matches_direct_pipeline_across_seeds() {
                 min_confidence,
             );
 
-            let mut engine = CoreEngine::with_config(
+            let engine = SharedEngine::with_config(
                 &rel,
                 EngineConfig {
                     buckets,
@@ -145,7 +137,7 @@ fn engine_matches_direct_pipeline_for_generalized_rules() {
             min_support,
             min_confidence,
         );
-        let mut engine = CoreEngine::with_config(
+        let engine = SharedEngine::with_config(
             &rel,
             EngineConfig {
                 buckets: 80,
@@ -175,78 +167,9 @@ fn engine_matches_direct_pipeline_for_generalized_rules() {
 }
 
 #[test]
-fn miner_shim_equals_engine_everywhere() {
-    for seed in [1u64, 9, 77] {
-        let rel = BankGenerator::default().to_relation(8_000, seed);
-        let schema = rel.schema().clone();
-        let attr = schema.numeric("Balance").unwrap();
-        let loan = Condition::BoolIs(schema.boolean("CardLoan").unwrap(), true);
-        let config = MinerConfig {
-            buckets: 64,
-            seed,
-            min_support: Ratio::percent(10),
-            min_confidence: Ratio::percent(55),
-            ..MinerConfig::default()
-        };
-        let miner = Miner::new(config);
-
-        // Single pair.
-        let mined = miner.mine(&rel, attr, loan.clone()).unwrap();
-        let mut engine = CoreEngine::with_config(&rel, config.into());
-        let rules = engine
-            .query_attr(attr)
-            .objective(loan.clone())
-            .run()
-            .unwrap();
-        assert_eq!(MinedPair::from(rules), mined, "seed {seed}");
-
-        // All pairs: the shim's Vec equals the collected lazy iterator.
-        let all = miner.mine_all_pairs(&rel).unwrap();
-        let streamed: Vec<MinedPair> = engine
-            .queries_for_all_pairs()
-            .map(|r| MinedPair::from(r.unwrap()))
-            .collect();
-        assert_eq!(all, streamed, "seed {seed}");
-
-        // Average operator.
-        let checking = schema.numeric("CheckingAccount").unwrap();
-        let saving = schema.numeric("SavingAccount").unwrap();
-        let avg = miner
-            .mine_average(&rel, checking, saving, 12_000.0)
-            .unwrap();
-        let rules = engine
-            .query_attr(checking)
-            .average_of_attr(saving)
-            .min_average(12_000.0)
-            .run()
-            .unwrap();
-        assert_eq!(
-            avg.max_average.map(|(r, v)| (r.s, r.t, r.sup_count, v)),
-            rules.max_average().map(|a| (
-                a.bucket_range.0,
-                a.bucket_range.1,
-                a.sup_count,
-                a.value_range
-            )),
-            "seed {seed}"
-        );
-        assert_eq!(
-            avg.max_support.map(|(r, v)| (r.s, r.t, r.sup_count, v)),
-            rules.max_support_average().map(|a| (
-                a.bucket_range.0,
-                a.bucket_range.1,
-                a.sup_count,
-                a.value_range
-            )),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
 fn second_query_skips_resampling_and_rescanning() {
     let rel = BankGenerator::default().to_relation(20_000, 5);
-    let mut engine = CoreEngine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 200,

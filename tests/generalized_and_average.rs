@@ -117,7 +117,7 @@ fn average_support_frontier_is_monotone() {
     }
 }
 
-/// Generalized mining through the Miner on the planted retail pattern,
+/// Generalized mining through the engine on the planted retail pattern,
 /// cross-checked against direct per-tuple counting of the mined range.
 #[test]
 fn mined_generalized_rule_counts_are_exact() {
@@ -128,7 +128,7 @@ fn mined_generalized_rule_counts_are_exact() {
     let pizza_attr = schema.boolean("Pizza").unwrap();
     let potato_attr = schema.boolean("Potato").unwrap();
 
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         &rel,
         EngineConfig {
             buckets: 100,

@@ -13,14 +13,12 @@
 //! Regenerate the goldens after an intentional shape change with
 //! `OPTRULES_BLESS=1 cargo test --test metrics_golden`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
 
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_optrules"))
-}
+use common::{bin, shutdown, spawn_listening, Server};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -35,32 +33,10 @@ fn data_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-struct Server {
-    child: Child,
-    addr: String,
-}
-
-/// Spawns the binary with a frozen observability clock and parses the
-/// `listening on <addr>` line.
-fn spawn_listening(args: &[&str]) -> Server {
-    let mut child = bin()
-        .args(args)
-        .env("OPTRULES_FROZEN_CLOCK", "1")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("process spawns");
-    let stdout = child.stdout.as_mut().expect("stdout piped");
-    let mut first = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut first)
-        .expect("read listening line");
-    let addr = first
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected first line {first:?}"))
-        .to_string();
-    Server { child, addr }
+/// Spawns the binary with a frozen observability clock, so every
+/// duration the metrics document reports is exactly zero.
+fn spawn_frozen(args: &[&str]) -> Server {
+    spawn_listening(bin().args(args).env("OPTRULES_FROZEN_CLOCK", "1"))
 }
 
 const FLAGS: [&str; 10] = [
@@ -79,7 +55,7 @@ const FLAGS: [&str; 10] = [
 fn spawn_serve(path: &str, workers: &str) -> Server {
     let mut args = vec!["serve", path, "--addr", "127.0.0.1:0", "--workers", workers];
     args.extend_from_slice(&FLAGS);
-    spawn_listening(&args)
+    spawn_frozen(&args)
 }
 
 /// One request line, one response line, strictly alternating, all on
@@ -101,24 +77,6 @@ fn interactive(addr: &str, lines: &[&str]) -> Vec<String> {
     }
     drop(stream);
     responses
-}
-
-fn roundtrip(addr: &str, input: &str) -> Vec<String> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(input.as_bytes()).expect("send");
-    stream.shutdown(Shutdown::Write).expect("half-close");
-    BufReader::new(stream)
-        .lines()
-        .map(|line| line.expect("read"))
-        .collect()
-}
-
-fn shutdown(mut server: Server) {
-    assert_eq!(
-        roundtrip(&server.addr, "{\"cmd\":\"shutdown\"}\n"),
-        ["{\"ok\":\"shutdown\"}"]
-    );
-    assert!(server.child.wait().expect("server exits").success());
 }
 
 /// Runs the transcript plus a final `{"cmd":"metrics"}` and returns
@@ -260,9 +218,17 @@ fn coordinator_metrics_document_is_byte_stable() {
             .map(|s| s.addr.clone())
             .collect::<Vec<_>>()
             .join(",");
-        let mut args = vec!["coord", "--shards", &shard_list, "--workers", workers];
+        let mut args = vec![
+            "coord",
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            &shard_list,
+            "--workers",
+            workers,
+        ];
         args.extend_from_slice(&FLAGS);
-        let coord = spawn_listening(&args);
+        let coord = spawn_frozen(&args);
 
         let doc = metrics_after_transcript(&coord.addr);
         assert_wellformed(&doc);
@@ -307,6 +273,8 @@ fn coordinator_trace_log_correlates_shard_spans() {
     let mut shard = spawn_serve(shard_path.to_str().unwrap(), "1");
     let mut args = vec![
         "coord",
+        "--addr",
+        "127.0.0.1:0",
         "--shards",
         &shard.addr,
         "--trace-log",
@@ -315,7 +283,7 @@ fn coordinator_trace_log_correlates_shard_spans() {
         "0",
     ];
     args.extend_from_slice(&FLAGS);
-    let coord = spawn_listening(&args);
+    let coord = spawn_frozen(&args);
     interactive(
         &coord.addr,
         &["{\"attr\":\"Balance\",\"objective\":{\"bool\":\"CardLoan\"}}"],
@@ -373,7 +341,7 @@ fn durable_serve_reports_wal_and_checkpoint_histograms() {
         dir.to_str().unwrap(),
     ];
     args.extend_from_slice(&FLAGS);
-    let server = spawn_listening(&args);
+    let server = spawn_frozen(&args);
     let lines = [
         "{\"cmd\":\"append\",\"rows\":[[4200,35,900,12000,true,false,true]]}",
         "{\"cmd\":\"append\",\"rows\":[[800,61,2500,3000,false,true,false]]}",

@@ -86,7 +86,7 @@ fn definition_2_6_confidence_and_support_formulas() {
 fn definition_2_4_duality_on_planted_data() {
     let gen = PlantedRangeGenerator::new((0.2, 0.55), 0.8, 0.15);
     let rel = gen.to_relation(30_000, 5);
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         rel,
         EngineConfig {
             buckets: 200,

@@ -63,7 +63,7 @@ fn parallel_counts_equal_sequential_file_backed() {
 #[test]
 fn engine_results_independent_of_thread_count() {
     let rel = BankGenerator::default().to_relation(15_000, 19);
-    let mut engine = Engine::with_config(
+    let engine = SharedEngine::with_config(
         &rel,
         EngineConfig {
             buckets: 128,

@@ -15,14 +15,10 @@
 //! observed value ranges are min/max folds, so the merged grid — and
 //! every byte derived from it — is independent of the shard split.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
 
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_optrules"))
-}
+use common::{bin, roundtrip, shutdown, spawn_listening, Server};
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -36,31 +32,6 @@ fn data(name: &str) -> String {
         .join("tests/data")
         .join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-struct Server {
-    child: Child,
-    addr: String,
-}
-
-fn spawn_listening(args: &[&str]) -> Server {
-    let mut child = bin()
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("process spawns");
-    let stdout = child.stdout.as_mut().expect("stdout piped");
-    let mut first = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut first)
-        .expect("read listening line");
-    let addr = first
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected first line {first:?}"))
-        .to_string();
-    Server { child, addr }
 }
 
 const FLAGS: [&str; 8] = [
@@ -77,25 +48,7 @@ const FLAGS: [&str; 8] = [
 fn spawn_serve(path: &str, workers: &str) -> Server {
     let mut args = vec!["serve", path, "--addr", "127.0.0.1:0", "--workers", workers];
     args.extend_from_slice(&FLAGS);
-    spawn_listening(&args)
-}
-
-fn roundtrip(addr: &str, input: &str) -> Vec<String> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(input.as_bytes()).expect("send");
-    stream.shutdown(Shutdown::Write).expect("half-close");
-    BufReader::new(stream)
-        .lines()
-        .map(|line| line.expect("read"))
-        .collect()
-}
-
-fn shutdown(mut server: Server) {
-    assert_eq!(
-        roundtrip(&server.addr, "{\"cmd\":\"shutdown\"}\n"),
-        ["{\"ok\":\"shutdown\"}"]
-    );
-    assert!(server.child.wait().expect("server exits").success());
+    spawn_listening(bin().args(&args))
 }
 
 #[test]
@@ -163,9 +116,9 @@ fn rectangle_transcript_matches_on_single_node_and_coordinator() {
             .map(|s| s.addr.clone())
             .collect::<Vec<_>>()
             .join(",");
-        let mut args = vec!["coord", "--shards", &shard_list];
+        let mut args = vec!["coord", "--addr", "127.0.0.1:0", "--shards", &shard_list];
         args.extend_from_slice(&FLAGS);
-        let coord = spawn_listening(&args);
+        let coord = spawn_listening(bin().args(&args));
         assert_eq!(
             roundtrip(&coord.addr, &specs),
             expected,

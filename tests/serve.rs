@@ -3,6 +3,8 @@
 //! singleflight coalescing, graceful shutdown, and the shipped binary
 //! speaking the batch golden protocol end to end.
 
+mod common;
+
 use optrules::core::json::{self, Json, Num};
 use optrules::core::server::{serve, ServerConfig, ServerHandle};
 use optrules::prelude::*;
@@ -445,66 +447,31 @@ fn shutdown_survives_a_client_that_never_reads_the_ack() {
 
 mod binary {
     use super::*;
+    use crate::common::{bin, roundtrip as tcp_roundtrip, shutdown, spawn_listening, Server};
     use std::path::PathBuf;
-    use std::process::{Child, Command, Stdio};
-
-    fn bin() -> Command {
-        Command::new(env!("CARGO_BIN_EXE_optrules"))
-    }
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("optrules-serve-{}-{name}.rel", std::process::id()))
     }
 
-    struct Server {
-        child: Child,
-        addr: String,
-    }
-
-    /// Spawns `optrules serve` on an ephemeral port and parses the
-    /// `listening on <addr>` line from its stdout.
+    /// Spawns `optrules serve` on an ephemeral port.
     fn spawn_server(path: &str, extra: &[&str]) -> Server {
-        let mut child = bin()
-            .args([
-                "serve",
-                path,
-                "--addr",
-                "127.0.0.1:0",
-                "--buckets",
-                "100",
-                "--min-support",
-                "10",
-                "--min-confidence",
-                "60",
-                "--seed",
-                "7",
-            ])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("serve spawns");
-        let stdout = child.stdout.as_mut().expect("stdout piped");
-        let mut first = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut first)
-            .expect("read listening line");
-        let addr = first
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected first line {first:?}"))
-            .to_string();
-        Server { child, addr }
-    }
-
-    fn tcp_roundtrip(addr: &str, input: &str) -> Vec<String> {
-        let mut stream = TcpStream::connect(addr).expect("connect to binary server");
-        stream.write_all(input.as_bytes()).expect("send requests");
-        stream.shutdown(Shutdown::Write).expect("half-close");
-        BufReader::new(stream)
-            .lines()
-            .map(|line| line.expect("read response"))
-            .collect()
+        let flags = ["--addr", "127.0.0.1:0", "--buckets", "100"];
+        let thresholds = [
+            "--min-support",
+            "10",
+            "--min-confidence",
+            "60",
+            "--seed",
+            "7",
+        ];
+        spawn_listening(
+            bin()
+                .args(["serve", path])
+                .args(flags)
+                .args(thresholds)
+                .args(extra),
+        )
     }
 
     /// Removes every `,"gauges":{…}` object from a response line. The
@@ -545,7 +512,7 @@ mod binary {
         assert!(gen.status.success());
 
         for workers in ["1", "4"] {
-            let mut server = spawn_server(path_s, &["--workers", workers]);
+            let server = spawn_server(path_s, &["--workers", workers]);
 
             let cold = tcp_roundtrip(&server.addr, &specs);
             assert_eq!(cold, expected, "--workers {workers} diverged from golden");
@@ -560,10 +527,8 @@ mod binary {
                 stats[0]
             );
 
-            let bye = tcp_roundtrip(&server.addr, "{\"cmd\":\"shutdown\"}\n");
-            assert_eq!(bye, ["{\"ok\":\"shutdown\"}"]);
-            let status = server.child.wait().expect("server exits");
-            assert!(status.success(), "graceful shutdown must exit 0");
+            // Graceful shutdown must exit 0.
+            shutdown(server);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -591,7 +556,7 @@ mod binary {
             .expect("gen runs");
         assert!(gen.status.success());
 
-        let mut server = spawn_server(
+        let server = spawn_server(
             path_s,
             &["--cache-shards", "1", "--write-timeout-secs", "20"],
         );
@@ -604,9 +569,7 @@ mod binary {
             .collect();
         assert_eq!(lines, expected, "TCP live responses diverged from golden");
 
-        let bye = tcp_roundtrip(&server.addr, "{\"cmd\":\"shutdown\"}\n");
-        assert_eq!(bye, ["{\"ok\":\"shutdown\"}"]);
-        assert!(server.child.wait().expect("server exits").success());
+        shutdown(server);
         std::fs::remove_file(&path).unwrap();
     }
 }
