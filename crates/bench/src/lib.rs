@@ -1,5 +1,6 @@
-//! Shared workload builders for the Criterion benches and the `repro`
-//! figure/table harness.
+//! Shared workload builders and timing helpers for the `repro`
+//! figure/table harness. (Performance is measured by the ledger under
+//! `bench/`, against the real processes.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,8 +58,7 @@ pub fn time_once<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
 
 /// Times `f` repeatedly until `min_total` elapses (at least once) and
 /// returns the minimum observed duration — a low-variance point
-/// estimate for the repro tables (Criterion handles the rigorous
-/// statistics in the benches).
+/// estimate for the repro tables.
 pub fn time_best_of(min_total: Duration, mut f: impl FnMut()) -> Duration {
     let mut best = Duration::MAX;
     let start = Instant::now();

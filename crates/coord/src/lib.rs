@@ -80,9 +80,9 @@ pub use error::{CoordError, Result};
 pub use shardset::{CoordConfig, RpcKind, ShardRpcMetrics, ShardSet};
 
 use optrules_core::cache::CacheConfig;
-use optrules_core::json::{self, Json, Num, Request, ServerProbe};
+use optrules_core::json::{self, Json, Num, Request};
 use optrules_core::plan::Plan;
-use optrules_core::server::{ExecuteCtx, Gate, Service};
+use optrules_core::server::{ExecuteCtx, Service};
 use optrules_core::shared::AppendOutcome;
 use optrules_core::{EngineConfig, Executor, QuerySpec};
 use optrules_obs::{Gauges, Histogram, Span, Timer, TraceSink};
@@ -445,11 +445,11 @@ impl Coordinator {
     /// Answers a metrics frame: the coordinator's own scatter-gather
     /// latency profile — per-shard `values`/`count`/`append` RPC
     /// histograms plus central `merge` and `optimize` time — and, when
-    /// served over TCP, the server section from `probe`. No shard
+    /// served over TCP, the server section from `ctx`. No shard
     /// round trip: these are the coordinator's measurements of its own
     /// RPCs, not the shards' engine metrics (scrape each shard's
     /// `metrics` frame for those).
-    pub fn metrics(&self, probe: Option<&ServerProbe<'_>>) -> Json {
+    pub fn metrics(&self, ctx: Option<&ExecuteCtx<'_>>) -> Json {
         let shards = self
             .shards
             .shard_metrics()
@@ -474,8 +474,8 @@ impl Coordinator {
             ("shards".into(), Json::Arr(shards)),
         ]);
         let mut doc = vec![("coord".into(), coord)];
-        if let Some(probe) = probe {
-            doc.push(("server".into(), json::server_metrics_to_value(probe)));
+        if let Some(ctx) = ctx {
+            doc.push(("server".into(), json::server_metrics_to_value(ctx)));
         }
         json::ok_envelope(Json::Obj(doc))
     }
@@ -521,63 +521,38 @@ impl Coordinator {
 /// TCP connection (or any other transport) drives.
 struct CoordFrames<'a> {
     coord: &'a Coordinator,
-    gate: &'a Gate,
-    batch_threads: usize,
-    probe: Option<ServerProbe<'a>>,
+    ctx: ExecuteCtx<'a>,
 }
 
 impl json::FrameHandler for CoordFrames<'_> {
     fn run_segment(&mut self, specs: &[QuerySpec]) -> Vec<Json> {
-        let _permit = self.gate.acquire();
-        self.coord.run_segment(specs, self.batch_threads)
+        let _permit = self.ctx.gate.acquire();
+        self.coord.run_segment(specs, self.ctx.batch_threads)
     }
 
-    fn stats(&mut self) -> Json {
-        self.coord.stats(self.probe.as_ref().map(|p| &p.gauges))
-    }
-
-    fn metrics(&mut self) -> Json {
-        self.coord.metrics(self.probe.as_ref())
-    }
-
-    fn flush(&mut self) -> Json {
-        self.coord.flush()
-    }
-
-    fn append(&mut self, rows: &Json) -> Json {
-        self.coord.append(rows)
-    }
-
-    fn schema(&mut self) -> Json {
-        self.coord.schema_frame()
-    }
-
-    fn values(&mut self, _frame: &Json) -> Json {
-        json::error_envelope("bad request: \"values\" is a shard-internal frame")
-    }
-
-    fn count(&mut self, _frame: &Json) -> Json {
-        json::error_envelope("bad request: \"count\" is a shard-internal frame")
-    }
-
-    fn count2d(&mut self, _frame: &Json) -> Json {
-        json::error_envelope("bad request: \"count2d\" is a shard-internal frame")
-    }
-
-    fn shutdown_ack(&mut self) -> Json {
-        json::ok_envelope(Json::Str("shutdown".into()))
+    fn control(&mut self, request: &Request) -> Json {
+        let internal = |cmd: &str| {
+            json::error_envelope(format!("bad request: {cmd:?} is a shard-internal frame"))
+        };
+        match request {
+            Request::Spec(spec) => self.run_segment(std::slice::from_ref(spec)).remove(0),
+            Request::Bad(msg) => json::error_envelope(msg.as_str()),
+            Request::Stats => self.coord.stats(Some(&self.ctx.gauges)),
+            Request::Metrics => self.coord.metrics(Some(&self.ctx)),
+            Request::Shutdown => json::ok_envelope(Json::Str("shutdown".into())),
+            Request::Flush => self.coord.flush(),
+            Request::Append(rows) => self.coord.append(rows),
+            Request::Schema => self.coord.schema_frame(),
+            Request::Values(_) => internal("values"),
+            Request::Count(_) => internal("count"),
+            Request::Count2D(_) => internal("count2d"),
+        }
     }
 }
 
 impl Service for Coordinator {
     fn execute(&self, requests: Vec<Request>, ctx: ExecuteCtx<'_>) -> (Vec<Json>, bool) {
-        let mut frames = CoordFrames {
-            coord: self,
-            gate: ctx.gate,
-            batch_threads: ctx.batch_threads,
-            probe: ctx.probe,
-        };
-        json::execute_frames(&mut frames, requests)
+        json::execute_frames(&mut CoordFrames { coord: self, ctx }, requests)
     }
 
     fn drain(&self) {

@@ -25,6 +25,9 @@ pub enum CoreError {
     },
     /// A threshold was outside its valid domain.
     BadThreshold(String),
+    /// A request asked for more resources than one request may claim
+    /// (see the `MAX_*` limits in [`crate::json`]).
+    BadRequest(String),
     /// A query was run without an objective (set one with
     /// `Query::objective`, `Query::objective_is`, or `Query::average_of`).
     MissingObjective,
@@ -42,6 +45,7 @@ impl fmt::Display for CoreError {
                 write!(f, "bucket {index} is empty (u = 0); compact counts first")
             }
             Self::BadThreshold(msg) => write!(f, "bad threshold: {msg}"),
+            Self::BadRequest(msg) => write!(f, "bad request: {msg}"),
             Self::MissingObjective => {
                 write!(f, "query has no objective; set one before running it")
             }

@@ -35,6 +35,7 @@
 //! [`Executor::run_plan`]: crate::exec::Executor::run_plan
 
 use crate::error::{CoreError, Result};
+use crate::json::{MAX_BUCKETS, MAX_GRID_CELLS, MAX_SAMPLE, MAX_THREADS};
 use crate::query::{AvgRule, Rule, RuleSet, Task};
 use crate::ratio::Ratio;
 use crate::region2d::{self, GridCounts, Rect};
@@ -151,6 +152,30 @@ fn isqrt(n: usize) -> usize {
     r
 }
 
+/// Rejects a resource-amplifying setting: one request line must not be
+/// able to claim unbounded threads or memory (a spec is outside input
+/// wherever it is resolved — `batch`, `serve` and `coord` alike).
+fn within(what: &str, value: u64, max: u64) -> Result<()> {
+    if value > max {
+        return Err(CoreError::BadRequest(format!(
+            "{what} {value} exceeds the limit of {max}"
+        )));
+    }
+    Ok(())
+}
+
+/// Bounds the thread count, bucket count and Algorithm 3.1 sample size
+/// a query may ask for.
+fn check_limits(threads: usize, key: &BucketKey) -> Result<()> {
+    within("\"threads\"", threads as u64, MAX_THREADS as u64)?;
+    within("\"buckets\"", key.buckets as u64, MAX_BUCKETS as u64)?;
+    within(
+        "\"buckets\" × \"samples_per_bucket\"",
+        (key.buckets as u64).saturating_mul(key.samples_per_bucket),
+        MAX_SAMPLE,
+    )
+}
+
 /// Resolves one spec against a schema and engine defaults: names →
 /// handles, descriptions rendered, defaults applied, thresholds
 /// validated. Pure — no scan runs and no cache is touched;
@@ -233,13 +258,20 @@ pub fn resolve(
             seed,
             generation,
         };
+        let threads = spec.threads.unwrap_or(config.threads);
+        check_limits(threads, &key)?;
+        within(
+            "\"buckets\" squared (the rectangle grid's cells)",
+            (per_axis as u64).saturating_mul(per_axis as u64),
+            MAX_GRID_CELLS as u64,
+        )?;
         let objective_desc = match &presumptive {
             Condition::True => objective.display(schema),
             p => format!("{} | {}", objective.display(schema), p.display(schema)),
         };
         return Ok(ResolvedQuery {
             key,
-            threads: spec.threads.unwrap_or(config.threads),
+            threads,
             what: grid_fingerprint(&presumptive, &objective),
             count_spec: None,
             assemble: Assemble::Rect,
@@ -266,6 +298,7 @@ pub fn resolve(
         generation,
     };
     let threads = spec.threads.unwrap_or(config.threads);
+    check_limits(threads, &key)?;
     let min_support = spec.min_support.unwrap_or(config.min_support);
     let min_confidence = spec.min_confidence.unwrap_or(config.min_confidence);
     let min_average = spec.min_average.map_or(0.0, |r| r.get());

@@ -175,7 +175,9 @@ impl GridCounts {
     ///
     /// Fails if array lengths do not equal `nx · ny`.
     pub fn from_cells(nx: usize, ny: usize, u: Vec<u64>, v: Vec<u64>) -> Result<Self> {
-        if u.len() != nx * ny || v.len() != nx * ny {
+        // `nx` and `ny` arrive off the wire: the product must not wrap.
+        let cells = nx.checked_mul(ny);
+        if Some(u.len()) != cells || Some(v.len()) != cells {
             return Err(CoreError::LengthMismatch {
                 u: u.len(),
                 v: v.len(),
@@ -212,7 +214,9 @@ impl GridCounts {
         y_ranges: Vec<(f64, f64)>,
         total_rows: u64,
     ) -> Result<Self> {
-        if u.len() != nx * ny || v.len() != nx * ny {
+        // `nx` and `ny` arrive off the wire: the product must not wrap.
+        let cells = nx.checked_mul(ny);
+        if Some(u.len()) != cells || Some(v.len()) != cells {
             return Err(CoreError::LengthMismatch {
                 u: u.len(),
                 v: v.len(),

@@ -2,7 +2,7 @@
 //! collection, control frames (stats/shutdown/append), ordered
 //! responses.
 
-use super::{Control, ExecuteCtx, Service};
+use super::{Control, Service};
 use crate::json::{self, Request};
 use optrules_obs::Timer;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -129,13 +129,8 @@ pub(super) fn serve_conn<S: Service>(
         // specs into planned segments split at control frames, taking
         // an in-flight gate permit around each segment.
         let executed = !requests.is_empty();
-        let ctx = ExecuteCtx {
-            gate: &control.gate,
-            batch_threads: control.config.batch_threads,
-            probe: Some(control.probe()),
-        };
         let timer = Timer::start();
-        let (responses, shutdown_requested) = service.execute(requests, ctx);
+        let (responses, shutdown_requested) = service.execute(requests, control.execute_ctx());
         // EOF produces an empty frame that still runs through execute;
         // recording it would pollute the histogram with no-op samples.
         if executed {

@@ -75,7 +75,7 @@
 
 mod conn;
 
-use crate::json::{self, Json, Request, ServerProbe};
+use crate::json::{self, Json, Request};
 use crate::shared::SharedEngine;
 use optrules_obs::{now_ns, Gauges, ServiceObs, Timer, TraceSink};
 use optrules_relation::{AppendRows, Durability, RandomAccess};
@@ -202,7 +202,7 @@ pub trait Service: Send + Sync + 'static {
     /// in-flight batch gate (implementations take a permit around each
     /// planned spec segment — never around appends or other control
     /// frames), [`ServerConfig::batch_threads`], and the transport's
-    /// observability probe.
+    /// observability handles.
     fn execute(&self, requests: Vec<Request>, ctx: ExecuteCtx<'_>) -> (Vec<Json>, bool);
 
     /// Called exactly once by the supervisor after the acceptor and
@@ -211,19 +211,22 @@ pub trait Service: Send + Sync + 'static {
     fn drain(&self) {}
 }
 
-/// Per-execute transport context handed to [`Service::execute`]: the
+/// Per-batch transport context handed to [`Service::execute`]: the
 /// in-flight gate, the batch fan-out width, and the observability
-/// probe (request-lifecycle histograms + gauges). The probe's trace
-/// sink is `None` here — the *service* owns its sink and substitutes
-/// it, since tracing belongs to the serving identity, not the
-/// transport.
+/// handles the `stats` / `metrics` frames report. `trace` arrives
+/// `None` — the *service* owns its span sink and substitutes it, since
+/// tracing belongs to the serving identity, not the transport.
 pub struct ExecuteCtx<'a> {
     /// The server's in-flight batch gate.
     pub gate: &'a Gate,
     /// [`ServerConfig::batch_threads`].
     pub batch_threads: usize,
-    /// Observability handles for the metrics/stats frames.
-    pub probe: Option<ServerProbe<'a>>,
+    /// Request-lifecycle histograms of the serving process.
+    pub obs: &'a ServiceObs,
+    /// Uptime, live connections, in-flight batches at dequeue time.
+    pub gauges: Gauges,
+    /// Span sink for trace emission; `None` when tracing is off.
+    pub trace: Option<&'a TraceSink>,
 }
 
 /// The single-node identity: one warm [`SharedEngine`] answers every
@@ -238,20 +241,11 @@ where
     R: RandomAccess + AppendRows + Durability + Send + Sync + 'static,
 {
     fn execute(&self, requests: Vec<Request>, ctx: ExecuteCtx<'_>) -> (Vec<Json>, bool) {
-        let probe = ctx.probe.map(|mut probe| {
-            probe.trace = self.trace.as_deref();
-            probe
-        });
-        json::execute_requests(
-            &self.engine,
-            requests,
-            |specs| {
-                let _permit = ctx.gate.acquire();
-                self.engine.run_batch(specs, ctx.batch_threads)
-            },
-            || json::ok_envelope(Json::Str("shutdown".into())),
-            probe,
-        )
+        let ctx = ExecuteCtx {
+            trace: self.trace.as_deref(),
+            ..ctx
+        };
+        json::execute_requests(&self.engine, requests, ctx.batch_threads, Some(ctx))
     }
 
     /// Checkpoint the engine so a durable relation leaves no WAL tail
@@ -285,11 +279,13 @@ struct Control {
 }
 
 impl Control {
-    /// Builds the observability probe for one frame batch: borrows the
-    /// lifecycle histograms and samples the gauges now. The trace sink
-    /// is the service's to substitute.
-    fn probe(&self) -> ServerProbe<'_> {
-        ServerProbe {
+    /// Builds the context for one frame batch: borrows the gate and
+    /// the lifecycle histograms and samples the gauges now. The trace
+    /// sink is the service's to substitute.
+    fn execute_ctx(&self) -> ExecuteCtx<'_> {
+        ExecuteCtx {
+            gate: &self.gate,
+            batch_threads: self.config.batch_threads,
             obs: &self.obs,
             gauges: Gauges {
                 uptime_ns: now_ns().saturating_sub(self.started_ns),

@@ -17,10 +17,9 @@
 //!   0, every quantile 0, while *counts* keep their real values. That
 //!   is what makes the `{"cmd":"metrics"}` golden transcripts
 //!   byte-stable without giving up real measurements in production.
-//! * **Toggleable for overhead measurement.** [`set_enabled`] (or
-//!   `OPTRULES_METRICS=off` in the environment) turns [`Timer`] into a
-//!   no-op so `scripts/bench.sh` can quantify the metrics-on vs
-//!   metrics-off serve throughput delta.
+//! * **Always on.** There is no off switch: PR 9 measured the
+//!   overhead at noise level, and the perf ledger (`bench/`) reads
+//!   these same histograms.
 //!
 //! # Bucket layout
 //!
@@ -35,7 +34,7 @@
 #![warn(missing_docs)]
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -210,27 +209,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Gate for recording: when off, [`Timer::start`] is a no-op (no clock
-/// read, no histogram update). Defaults to on; `OPTRULES_METRICS=off`
-/// in the environment starts it off.
-fn enabled_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| {
-        AtomicBool::new(std::env::var_os("OPTRULES_METRICS").is_none_or(|v| v != "off"))
-    })
-}
-
-/// Whether timers currently record.
-pub fn enabled() -> bool {
-    enabled_cell().load(Ordering::Relaxed)
-}
-
-/// Turns timer recording on or off process-wide (the bench harness
-/// uses this to measure metrics overhead).
-pub fn set_enabled(on: bool) {
-    enabled_cell().store(on, Ordering::Relaxed);
-}
-
 /// Monotonic nanoseconds since process start — or always 0 when
 /// `OPTRULES_FROZEN_CLOCK=1` is set, which makes every derived
 /// duration (and therefore the metrics document) deterministic.
@@ -251,47 +229,33 @@ pub fn now_ns() -> u64 {
     }
 }
 
-/// A started phase timer. When recording is disabled the start is
-/// skipped entirely, so a disabled timer costs two branches and no
-/// clock read.
+/// A started phase timer.
 #[derive(Debug, Clone, Copy)]
-pub struct Timer(Option<u64>);
+pub struct Timer(u64);
 
 impl Timer {
-    /// Reads the clock (unless recording is disabled).
+    /// Reads the clock.
     #[inline]
     pub fn start() -> Timer {
-        if enabled() {
-            Timer(Some(now_ns()))
-        } else {
-            Timer(None)
-        }
+        Timer(now_ns())
     }
 
-    /// The start timestamp, or 0 when disabled.
+    /// The start timestamp.
     pub fn start_ns(&self) -> u64 {
-        self.0.unwrap_or(0)
+        self.0
     }
 
-    /// Nanoseconds since start (0 when disabled), without recording.
+    /// Nanoseconds since start, without recording.
     pub fn elapsed_ns(&self) -> u64 {
-        match self.0 {
-            Some(start) => now_ns().saturating_sub(start),
-            None => 0,
-        }
+        now_ns().saturating_sub(self.0)
     }
 
     /// Records the elapsed time into `histogram` and returns it.
     #[inline]
     pub fn stop(self, histogram: &Histogram) -> u64 {
-        match self.0 {
-            Some(start) => {
-                let elapsed = now_ns().saturating_sub(start);
-                histogram.record(elapsed);
-                elapsed
-            }
-            None => 0,
-        }
+        let elapsed = self.elapsed_ns();
+        histogram.record(elapsed);
+        elapsed
     }
 }
 

@@ -709,21 +709,10 @@ where
     // Execute in request order through the shared executor —
     // exactly the server's per-connection semantics (one code path,
     // tested byte-identical across both transports by the live
-    // golden); only the shutdown answer differs, since batch mode has
-    // no server to stop.
-    let (responses, _shutdown_seen) = json::execute_requests(
-        engine,
-        requests,
-        |specs| engine.run_batch(specs, threads),
-        || {
-            json::error_envelope(
-                "\"shutdown\" stops `optrules serve`; batch mode has no server to stop",
-            )
-        },
-        // Batch mode has no server: `{"cmd":"metrics"}` answers the
-        // engine section only, and no gauges ride `{"cmd":"stats"}`.
-        None,
-    );
+    // golden). Batch mode has no server context: `shutdown` answers
+    // an error, `{"cmd":"metrics"}` the engine section only, and no
+    // gauges ride `{"cmd":"stats"}`.
+    let (responses, _shutdown_seen) = json::execute_requests(engine, requests, threads, None);
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();

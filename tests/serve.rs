@@ -174,6 +174,79 @@ fn malformed_json_gets_an_error_and_the_connection_lives_on() {
     handle.join();
 }
 
+/// One request line must not be able to abort the server: thread,
+/// bucket, sample and grid-cell counts far past the documented limits
+/// (each used to end the process with SIGABRT, an allocation failure,
+/// or a scan that never returns), and a spec carrying 60 000 junk keys
+/// (just under the 1 MiB line cap; the duplicate-key check used to be
+/// quadratic), are each answered
+/// with an error envelope at once — and the same connection then
+/// answers a real query exactly as `run_spec` does.
+#[test]
+fn hostile_lines_get_error_envelopes_and_the_connection_answers_on() {
+    let handle = start(engine(2_000, 5), ServerConfig::default());
+    let mut stream = connect(&handle);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let junk: String = (0..60_000).map(|i| format!(",\"k{i}\":{i}")).collect();
+    let hostile = [
+        (
+            r#"{"attr":"Balance","objective":{"bool":"CardLoan"},"threads":300000}"#.to_string(),
+            "\\\"threads\\\" 300000 exceeds the limit of 256",
+        ),
+        (
+            r#"{"attr":"Balance","objective":{"bool":"CardLoan"},"buckets":100000000000}"#.into(),
+            "\\\"buckets\\\" 100000000000 exceeds the limit of 1048576",
+        ),
+        (
+            r#"{"attr":"Balance","objective":{"bool":"CardLoan"},"samples_per_bucket":10000000000000}"#
+                .into(),
+            "\\\"samples_per_bucket\\\" 600000000000000 exceeds the limit of 67108864",
+        ),
+        (
+            r#"{"attr":"Balance","attr2":"Age","objective":{"bool":"CardLoan"},"buckets":200000}"#
+                .into(),
+            "40000000000 exceeds the limit of 262144",
+        ),
+        (
+            r#"{"cmd":"count","attr":"Balance","cuts":[1],"threads":300000,"all_booleans":true}"#
+                .into(),
+            "\\\"threads\\\" 300000 exceeds the limit of 256",
+        ),
+        (
+            format!(r#"{{"attr":"Balance","objective":{{"bool":"CardLoan"}}{junk}}}"#),
+            "unknown key \\\"k0\\\" in a query spec",
+        ),
+    ];
+    for (line, needle) in &hostile {
+        let sent = std::time::Instant::now();
+        stream.write_all(line.as_bytes()).expect("send");
+        stream.write_all(b"\n").expect("send");
+        let response = read_line(&mut reader);
+        assert!(
+            response.starts_with("{\"error\":\"bad request: ") && response.contains(needle),
+            "{response}"
+        );
+        assert!(
+            sent.elapsed() < std::time::Duration::from_secs(1),
+            "rejection took {:?}",
+            sent.elapsed()
+        );
+    }
+
+    let spec = QuerySpec::boolean("Balance", "CardLoan");
+    stream
+        .write_all((json::encode_spec(&spec) + "\n").as_bytes())
+        .expect("send");
+    let expected = engine(2_000, 5).run_spec(&spec).expect("reference run");
+    assert_eq!(
+        read_line(&mut reader),
+        json::ok_envelope(json::rule_set_to_value(&expected)).encode()
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn oversized_line_errors_then_disconnects_without_wedging_the_server() {
     let handle = start(
