@@ -4,19 +4,28 @@
 //!
 //! The row-visitor path pays per row: scratch-buffer copies, a dyn
 //! closure call, a `Condition` tree walk, and an O(log M) binary
-//! search. The kernel removes all four:
+//! search. The kernel removes all four, and tells storage what it will
+//! read:
 //!
+//! * the scan pushes its **projection** down — the bucketed attribute,
+//!   the columns its compiled tests name, the sum columns — so a store
+//!   that decodes (the file-backed one) decodes nothing else;
 //! * conditions are **compiled** once into flat [`ColTest`] lists over
-//!   column ids, evaluated straight off the block's column slices;
+//!   column ids, and each list is evaluated **column-wise** into a bit
+//!   mask over `MASK_CHUNK_ROWS` rows at a time: branch-free compare
+//!   loops over `&[f64]` slices, word ops on repacked Boolean columns.
+//!   No condition is evaluated per row;
 //! * block **zone maps** prove whole blocks irrelevant to a compiled
 //!   range test (skipped entirely) or confined to a **single bucket**
-//!   (counted with one add, a slice min/max sweep, and word-wise
-//!   popcounts of Boolean targets via [`BitSpan::count_ones`]);
+//!   (counted with one add, a slice min/max sweep, and popcounts of
+//!   the target masks);
 //! * bucket assignment replaces the full binary search with a
 //!   [`CutIndex`] grid probe that starts at the first cut of the
 //!   value's grid cell and usually decides in a single comparison;
-//! * the per-bucket inner loops run over contiguous `&[f64]` slices,
-//!   the shape LLVM autovectorizes.
+//! * the row loop walks the set bits of the presumptive mask (all rows
+//!   when there is no filter) and does one probe and one update of a
+//!   **packed per-bucket entry** `[rows, min, max, hits…, sums…]` — one
+//!   cache line per row — folded into [`BucketCounts`] once at the end.
 //!
 //! Every path is **bit-identical** to the visitor: the same bucket
 //! function (proved below for [`CutIndex`]), the same evaluation
@@ -27,12 +36,11 @@
 //! the contract). The equivalence proptest in
 //! `tests/proptest_kernel.rs` pins this down across storage layouts.
 //!
-//! [`BitSpan::count_ones`]: optrules_relation::BitSpan::count_ones
 //! [`Condition::eval`]: optrules_relation::Condition::eval
 
 use crate::assign::CountSpec;
 use crate::bucket::{BucketCounts, BucketSpec};
-use optrules_relation::columnar::{ColumnBlock, ColumnarScan};
+use optrules_relation::columnar::{ColumnBlock, ColumnarScan, Projection};
 use optrules_relation::error::Result;
 use optrules_relation::Condition;
 use std::ops::Range;
@@ -75,17 +83,90 @@ fn compile(cond: &Condition) -> Vec<ColTest> {
     tests
 }
 
-/// Evaluates a compiled conjunction on row `i` of a block.
-#[inline]
-fn eval_tests(tests: &[ColTest], block: &ColumnBlock<'_>, i: usize) -> bool {
-    tests.iter().all(|t| match *t {
-        ColTest::BoolIs(col, want) => block.bits[col].get(i) == want,
-        ColTest::NumEq(col, v) => block.numeric[col][i] == v,
-        ColTest::NumInRange(col, lo, hi) => {
-            let x = block.numeric[col][i];
-            lo <= x && x <= hi
+/// Rows a compiled conjunction is masked over at once: a large block
+/// (an in-memory relation hands out one block for the whole range) is
+/// walked in chunks of this many rows, so a mask is 64 words and all
+/// of a scan's masks stay in L1 whatever the block size.
+const MASK_CHUNK_ROWS: usize = 4096;
+
+/// Splits `0..rows` into the consecutive chunks (4096 rows, the last
+/// one shorter) that a [`RowMask`] is filled over.
+pub fn mask_chunks(rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..rows)
+        .step_by(MASK_CHUNK_ROWS)
+        .map(move |lo| lo..rows.min(lo + MASK_CHUNK_ROWS))
+}
+
+/// Adds the columns `tests` read to `cols`.
+fn project(tests: &[ColTest], cols: &mut Projection) {
+    for t in tests {
+        match *t {
+            ColTest::BoolIs(col, _) => cols.add_boolean(col),
+            ColTest::NumEq(col, ..) | ColTest::NumInRange(col, ..) => cols.add_numeric(col),
         }
+    }
+}
+
+/// One mask word per 64 values: bit `j` is `test(xs[j])`. The inner
+/// loop is a compare, a shift and an or — no branch on the data.
+#[inline(always)]
+fn compare_words<'a>(
+    xs: &'a [f64],
+    test: impl Fn(f64) -> bool + 'a,
+) -> impl Iterator<Item = u64> + 'a {
+    xs.chunks(64).map(move |group| {
+        let mut word = 0u64;
+        for (j, &x) in group.iter().enumerate() {
+            word |= u64::from(test(x)) << j;
+        }
+        word
     })
+}
+
+/// Evaluates a compiled conjunction over `rows` of a block into a bit
+/// mask, column by column: mask word `w` lands in `out[w * stride]`
+/// (`stride > 1` interleaves several masks), bit `i` is exactly
+/// [`Condition::eval`] on row `rows.start + i`, and the bits past the
+/// last row are zero. The empty conjunction gives all ones. `repack`
+/// is scratch for Boolean columns.
+///
+/// [`Condition::eval`]: optrules_relation::Condition::eval
+fn mask_into(
+    tests: &[ColTest],
+    block: &ColumnBlock<'_>,
+    rows: Range<usize>,
+    out: &mut [u64],
+    stride: usize,
+    repack: &mut Vec<u64>,
+) {
+    let n = rows.len();
+    let words = n.div_ceil(64);
+    for (w, slot) in out.iter_mut().step_by(stride).take(words).enumerate() {
+        let live = (n - w * 64).min(64);
+        *slot = !0u64 >> (64 - live);
+    }
+    let mut and_in = |words: &mut dyn Iterator<Item = u64>| {
+        for (slot, word) in out.iter_mut().step_by(stride).zip(words) {
+            *slot &= word;
+        }
+    };
+    for t in tests {
+        match *t {
+            ColTest::BoolIs(col, want) => {
+                block.bits[col].subspan(rows.clone()).repack_into(repack);
+                let flip = if want { 0 } else { !0u64 };
+                and_in(&mut repack.iter().map(|&word| word ^ flip));
+            }
+            ColTest::NumEq(col, v) => {
+                let xs = &block.numeric[col][rows.clone()];
+                and_in(&mut compare_words(xs, |x| x == v));
+            }
+            ColTest::NumInRange(col, lo, hi) => {
+                let xs = &block.numeric[col][rows.clone()];
+                and_in(&mut compare_words(xs, |x| (lo <= x) & (x <= hi)));
+            }
+        }
+    }
 }
 
 /// Whether the block's zone maps prove some test false for **every**
@@ -110,8 +191,9 @@ fn zone_rejects(tests: &[ColTest], zones: &[(f64, f64)]) -> bool {
 /// A [`Condition`] conjunction compiled to flat column tests — the
 /// reusable face of the kernel's condition machinery, for other
 /// columnar counting loops (the 2-D grid scan of `optrules-core`).
-/// Evaluation is exactly [`Condition::eval`]; block rejection uses the
-/// zone maps and is sound (it only proves rows absent, never present).
+/// A [`RowMask`] evaluates it exactly as [`Condition::eval`] would, row
+/// by row; block rejection uses the zone maps and is sound (it only
+/// proves rows absent, never present).
 #[derive(Debug, Clone)]
 pub struct CompiledCond {
     tests: Vec<ColTest>,
@@ -125,22 +207,46 @@ impl CompiledCond {
         }
     }
 
-    /// Whether the condition is vacuously true (no tests).
-    pub fn is_trivial(&self) -> bool {
-        self.tests.is_empty()
-    }
-
-    /// Evaluates the condition on row `i` of a block — identical to
-    /// [`Condition::eval`] on that row's values.
-    #[inline]
-    pub fn eval(&self, block: &ColumnBlock<'_>, i: usize) -> bool {
-        eval_tests(&self.tests, block, i)
+    /// Adds the columns the condition reads to a scan's projection.
+    pub fn project(&self, cols: &mut Projection) {
+        project(&self.tests, cols);
     }
 
     /// Whether `zones` prove the condition false for every row of the
     /// block (the whole-block skip).
     pub fn rejects_block(&self, zones: &[(f64, f64)]) -> bool {
-        !self.tests.is_empty() && zone_rejects(&self.tests, zones)
+        zone_rejects(&self.tests, zones)
+    }
+}
+
+/// A reusable bit mask of one [`CompiledCond`] over one chunk of a
+/// block's rows (see [`mask_chunks`]).
+#[derive(Debug, Default)]
+pub struct RowMask {
+    words: Vec<u64>,
+    repack: Vec<u64>,
+}
+
+impl RowMask {
+    /// Evaluates `cond` over `rows` of `block`, column by column: bit
+    /// `i` of [`words`](Self::words) is [`Condition::eval`] on row
+    /// `rows.start + i`; bits past the last row are zero.
+    pub fn fill(&mut self, cond: &CompiledCond, block: &ColumnBlock<'_>, rows: Range<usize>) {
+        self.words.clear();
+        self.words.resize(rows.len().div_ceil(64), 0);
+        mask_into(
+            &cond.tests,
+            block,
+            rows,
+            &mut self.words,
+            1,
+            &mut self.repack,
+        );
+    }
+
+    /// The mask, 64 rows per word.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 }
 
@@ -150,7 +256,7 @@ impl CompiledCond {
 /// A uniform grid over `[cuts[0], cuts[last]]` maps each value to a
 /// cell; `starts[g]` counts the cuts falling in cells before `g`.
 /// The cell map is `cell(x) = round((x - c0) * inv, clamped to
-/// [0, cells - 1])`, computed by [`cell_of`] without a float→int cast.
+/// [0, cells - 1])`, computed by `cell_of` without a float→int cast.
 /// Any cell map works as long as it is monotone non-decreasing in `x`
 /// and the **same** map builds `starts` and probes — rounding versus
 /// truncation is immaterial. This one is monotone: FP subtraction and
@@ -163,12 +269,12 @@ impl CompiledCond {
 /// starting point is already known to be `< x`, the stop position *is*
 /// `partition_point(cuts, c < x)` — no upper bound per cell is needed,
 /// and `starts[g + 1]` is never read on the hot path. With
-/// [`GRID_CELLS_PER_CUT`] cells per cut the walk averages about one
+/// `GRID_CELLS_PER_CUT` cells per cut the walk averages about one
 /// comparison for the near-uniform cut spacing equi-depth bucketing
 /// produces. The grid is disabled — falling back to the full binary
 /// search, still exact — when there are few cuts or the cut span is
 /// infinite or empty.
-struct CutIndex<'a> {
+pub struct CutIndex<'a> {
     cuts: &'a [f64],
     grid: Option<Grid>,
 }
@@ -213,7 +319,8 @@ const MAX_GRID_CELLS: usize = 1 << 20;
 const GRID_CELLS_PER_CUT: usize = 32;
 
 impl<'a> CutIndex<'a> {
-    fn new(cuts: &'a [f64]) -> Self {
+    /// Indexes `cuts` (ascending, as [`BucketSpec::cuts`] holds them).
+    pub fn new(cuts: &'a [f64]) -> Self {
         let grid = (|| {
             if cuts.len() < 8 || cuts.len() > u32::MAX as usize {
                 return None;
@@ -250,8 +357,9 @@ impl<'a> CutIndex<'a> {
         Self { cuts, grid }
     }
 
+    /// The bucket of `x`: exactly `BucketSpec::bucket_of`.
     #[inline]
-    fn bucket_of(&self, x: f64) -> usize {
+    pub fn bucket_of(&self, x: f64) -> usize {
         match &self.grid {
             Some(g) => grid_probe(g, self.cuts, x),
             None => self.cuts.partition_point(|&c| c < x),
@@ -272,9 +380,10 @@ fn grid_probe(g: &Grid, cuts: &[f64], x: f64) -> usize {
 }
 
 /// Runs the counting scan over columnar storage, accumulating into
-/// `counts` — the kernel behind `count_buckets_range` when
-/// `TupleScan::as_columnar` reports the capability. Bit-identical to
-/// the visitor path (see the module docs).
+/// `counts` (fresh from [`BucketCounts::zeroed`]) — the kernel behind
+/// `count_buckets_range` when `TupleScan::as_columnar` reports the
+/// capability. Bit-identical to the visitor path (see the module
+/// docs).
 ///
 /// # Errors
 ///
@@ -291,8 +400,16 @@ pub(crate) fn count_columnar(
     let sum_cols: Vec<usize> = what.sum_targets.iter().map(|a| a.0).collect();
     let index = CutIndex::new(spec.cuts());
     let attr = what.attr.0;
+    let mut projection = Projection::none();
+    projection.add_numeric(attr);
+    for tests in std::iter::once(&presumptive).chain(&targets) {
+        project(tests, &mut projection);
+    }
+    for &col in &sum_cols {
+        projection.add_numeric(col);
+    }
     // The canonical `CountSpec::simple` shape — no filter, one `BoolIs`
-    // target, no sums — gets a dedicated loop with no per-row dispatch.
+    // target, no sums — gets a dedicated loop with no masks at all.
     let canonical: Option<(usize, bool)> =
         if presumptive.is_empty() && sum_cols.is_empty() && targets.len() == 1 {
             match targets[0][..] {
@@ -302,75 +419,78 @@ pub(crate) fn count_columnar(
         } else {
             None
         };
-    // Canonical scans accumulate per-bucket row count, target hits,
-    // and the observed-range fold in one 32-byte entry, folded into
-    // `counts` once after the scan — a single random cache line per
-    // row instead of three. Byte-identity holds: the integer adds
-    // commute exactly, and because *every* range update of a canonical
-    // scan goes through this scratch, it carries the one continuous
-    // row-order min/max fold from `(∞, −∞)` — the identical op pairing
-    // as the visitor — and the final merge into the still-pristine
-    // `(∞, −∞)` entries of the fresh `counts` is exact (min/max
-    // against an infinity never ties, so it returns the other operand
-    // bit-for-bit).
-    let mut acc: Vec<BucketAcc> = if canonical.is_some() {
-        vec![BucketAcc::EMPTY; counts.u.len()]
-    } else {
-        Vec::new()
+    // Both loops accumulate per-bucket row count, target hits and the
+    // observed-range fold in one packed entry, folded into `counts`
+    // once after the scan — a single random cache line per row instead
+    // of one per series. Byte-identity holds: the integer adds commute
+    // exactly, and because *every* update of a scan goes through the
+    // scratch, it carries the one continuous row-order min/max fold
+    // from `(∞, −∞)` and the one row-order sum chain from `0.0` — the
+    // identical op pairing as the visitor — and the final merge into
+    // the still-pristine entries of the fresh `counts` is exact
+    // (min/max against an infinity never ties, so it returns the other
+    // operand bit-for-bit; the sums are assigned).
+    // Only the loop that runs gets entries; the other scratch is empty.
+    let (canonical_buckets, masked_buckets) = match canonical {
+        Some(_) => (counts.u.len(), 0),
+        None => (0, counts.u.len()),
     };
+    let mut acc = vec![BucketAcc::EMPTY; canonical_buckets];
     let mut word_buf: Vec<u64> = Vec::new();
-    cols.for_each_block_in(rows, &mut |block| {
+    let mut masked = MaskedScan::new(&presumptive, &targets, &sum_cols, masked_buckets);
+    cols.for_each_block_projected(rows, &projection, &mut |block| {
         counts.total_rows += block.rows as u64;
-        if !presumptive.is_empty() && zone_rejects(&presumptive, &block.zones) {
+        if zone_rejects(&presumptive, &block.zones) {
             // Every row fails the presumptive filter: only the row
             // total moves, exactly as the visitor would.
             return;
         }
         let xs = block.numeric[attr];
-        if presumptive.is_empty() {
+        // bucket_of is monotone, so zone bounds confined to one bucket
+        // confine every row to it.
+        let single = if presumptive.is_empty() {
             let (zmin, zmax) = block.zones[attr];
             let (blo, bhi) = (index.bucket_of(zmin), index.bucket_of(zmax));
-            if blo == bhi {
-                // bucket_of is monotone, so the zone bounds confining
-                // to one bucket confine every row to it.
-                if let Some((col, want)) = canonical {
-                    // Canonical shape: keep the popcount shortcut but
-                    // route the updates through the scratch so the
-                    // range fold stays one unbroken row-order chain.
-                    let e = &mut acc[blo];
-                    e.rows += block.rows as u64;
-                    let ones = block.bits[col].count_ones() as u64;
-                    e.hits += if want { ones } else { block.rows as u64 - ones };
-                    for &x in xs {
-                        debug_assert!(
-                            x.is_finite(),
-                            "non-finite value {x} reached the counting scan"
-                        );
-                        e.min = e.min.min(x);
-                        e.max = e.max.max(x);
-                    }
-                } else {
-                    single_bucket_block(blo, block, xs, counts, &targets, &sum_cols);
+            (blo == bhi).then_some(blo)
+        } else {
+            None
+        };
+        let Some((col, want)) = canonical else {
+            masked.block(block, xs, &index, single);
+            return;
+        };
+        match single {
+            Some(b) => {
+                // Keep the popcount shortcut but route the updates
+                // through the scratch so the range fold stays one
+                // unbroken row-order chain.
+                let e = &mut acc[b];
+                e.rows += block.rows as u64;
+                let ones = block.bits[col].count_ones() as u64;
+                e.hits += if want { ones } else { block.rows as u64 - ones };
+                for &x in xs {
+                    debug_assert!(
+                        x.is_finite(),
+                        "non-finite value {x} reached the counting scan"
+                    );
+                    e.min = e.min.min(x);
+                    e.max = e.max.max(x);
                 }
-                return;
             }
-            if let Some((col, want)) = canonical {
+            None => {
                 block.bits[col].repack_into(&mut word_buf);
                 canonical_block(xs, &word_buf, want, &index, &mut acc);
-                return;
             }
         }
-        general_block(block, xs, &index, counts, &presumptive, &targets, &sum_cols);
     })?;
-    if canonical.is_some() {
-        for (b, e) in acc.iter().enumerate() {
-            counts.u[b] += e.rows;
-            counts.bool_v[0][b] += e.hits;
-            let r = &mut counts.ranges[b];
-            r.0 = r.0.min(e.min);
-            r.1 = r.1.max(e.max);
-        }
+    for (b, e) in acc.iter().enumerate() {
+        counts.u[b] += e.rows;
+        counts.bool_v[0][b] += e.hits;
+        let r = &mut counts.ranges[b];
+        r.0 = r.0.min(e.min);
+        r.1 = r.1.max(e.max);
     }
+    masked.acc.fold_into(counts);
     Ok(())
 }
 
@@ -440,88 +560,216 @@ fn canonical_block(
     }
 }
 
-/// Counts a block whose rows all land in bucket `b` with no
-/// presumptive filter: one add for `u`, a sequential min/max sweep for
-/// the observed range, popcounts for single-`BoolIs` targets, and
-/// sequential row-order adds for sums (the same op pairing as the
-/// visitor, keeping floats bit-identical).
-fn single_bucket_block(
-    b: usize,
-    block: &ColumnBlock<'_>,
-    xs: &[f64],
-    counts: &mut BucketCounts,
-    targets: &[Vec<ColTest>],
-    sum_cols: &[usize],
-) {
-    counts.u[b] += block.rows as u64;
-    let r = &mut counts.ranges[b];
-    for &x in xs {
-        debug_assert!(
-            x.is_finite(),
-            "non-finite value {x} reached the counting scan"
-        );
-        r.0 = r.0.min(x);
-        r.1 = r.1.max(x);
-    }
-    for (series, tests) in counts.bool_v.iter_mut().zip(targets) {
-        match tests[..] {
-            [] => series[b] += block.rows as u64,
-            [ColTest::BoolIs(col, want)] => {
-                let ones = block.bits[col].count_ones() as u64;
-                series[b] += if want { ones } else { block.rows as u64 - ones };
-            }
-            _ => {
-                if zone_rejects(tests, &block.zones) {
-                    continue;
-                }
-                for i in 0..block.rows {
-                    if eval_tests(tests, block, i) {
-                        series[b] += 1;
-                    }
-                }
-            }
+/// Per-bucket scratch of the masked loop, one packed entry of
+/// `3 + targets + sums` words per bucket:
+/// `[rows, min, max, hits₀…, sum₀…]`, the floats stored as their bits.
+struct PackedCounts {
+    words: Vec<u64>,
+    stride: usize,
+    targets: usize,
+}
+
+/// Offsets into a packed entry.
+const ROWS: usize = 0;
+const MIN: usize = 1;
+const MAX: usize = 2;
+const HITS: usize = 3;
+
+impl PackedCounts {
+    fn new(buckets: usize, targets: usize, sums: usize) -> Self {
+        let stride = HITS + targets + sums;
+        let mut entry = vec![0u64; stride];
+        entry[MIN] = f64::INFINITY.to_bits();
+        entry[MAX] = f64::NEG_INFINITY.to_bits();
+        // Sum slots start at the bits of 0.0, which are 0.
+        Self {
+            words: entry.repeat(buckets),
+            stride,
+            targets,
         }
     }
-    for (series, &col) in counts.sums.iter_mut().zip(sum_cols) {
-        let acc = &mut series[b];
-        for &v in block.numeric[col] {
-            *acc += v;
+
+    #[inline(always)]
+    fn entry(&mut self, b: usize) -> &mut [u64] {
+        &mut self.words[b * self.stride..(b + 1) * self.stride]
+    }
+
+    /// Folds the scratch into the fresh `counts` it was sized for.
+    fn fold_into(&self, counts: &mut BucketCounts) {
+        for (b, e) in self.words.chunks_exact(self.stride).enumerate() {
+            counts.u[b] += e[ROWS];
+            let r = &mut counts.ranges[b];
+            r.0 = r.0.min(f64::from_bits(e[MIN]));
+            r.1 = r.1.max(f64::from_bits(e[MAX]));
+            let (hits, sums) = e[HITS..].split_at(self.targets);
+            for (series, &h) in counts.bool_v.iter_mut().zip(hits) {
+                series[b] += h;
+            }
+            for (series, &s) in counts.sums.iter_mut().zip(sums) {
+                series[b] = f64::from_bits(s);
+            }
         }
     }
 }
 
-/// The general per-row loop over a block: compiled presumptive filter,
-/// grid-probed bucket assignment, compiled target tests — the same
-/// per-row effects as the visitor in the same order.
-fn general_block(
-    block: &ColumnBlock<'_>,
-    xs: &[f64],
-    index: &CutIndex<'_>,
-    counts: &mut BucketCounts,
-    presumptive: &[ColTest],
-    targets: &[Vec<ColTest>],
-    sum_cols: &[usize],
-) {
-    for (i, &x) in xs.iter().enumerate() {
-        if !presumptive.is_empty() && !eval_tests(presumptive, block, i) {
-            continue;
+#[inline(always)]
+fn fold_range(e: &mut [u64], x: f64) {
+    debug_assert!(
+        x.is_finite(),
+        "non-finite value {x} reached the counting scan"
+    );
+    e[MIN] = f64::from_bits(e[MIN]).min(x).to_bits();
+    e[MAX] = f64::from_bits(e[MAX]).max(x).to_bits();
+}
+
+#[inline(always)]
+fn add_sum(slot: &mut u64, v: f64) {
+    *slot = (f64::from_bits(*slot) + v).to_bits();
+}
+
+/// The mask-compiled loop: every scan shape but the canonical one.
+/// Holds the compiled spec, the packed per-bucket scratch and the mask
+/// buffers reused from chunk to chunk.
+struct MaskedScan<'a> {
+    presumptive: &'a [ColTest],
+    targets: &'a [Vec<ColTest>],
+    sum_cols: &'a [usize],
+    acc: PackedCounts,
+    /// The presumptive mask of the current chunk.
+    live: Vec<u64>,
+    /// The target masks of the current chunk, interleaved so the words
+    /// a 64-row group needs sit together: word `w` of target `k` is
+    /// `hits[w * targets + k]`.
+    hits: Vec<u64>,
+    repack: Vec<u64>,
+}
+
+impl<'a> MaskedScan<'a> {
+    fn new(
+        presumptive: &'a [ColTest],
+        targets: &'a [Vec<ColTest>],
+        sum_cols: &'a [usize],
+        buckets: usize,
+    ) -> Self {
+        Self {
+            presumptive,
+            targets,
+            sum_cols,
+            acc: PackedCounts::new(buckets, targets.len(), sum_cols.len()),
+            live: Vec::new(),
+            hits: Vec::new(),
+            repack: Vec::new(),
         }
-        debug_assert!(
-            x.is_finite(),
-            "non-finite value {x} reached the counting scan"
-        );
-        let b = index.bucket_of(x);
-        counts.u[b] += 1;
-        let r = &mut counts.ranges[b];
-        r.0 = r.0.min(x);
-        r.1 = r.1.max(x);
-        for (series, tests) in counts.bool_v.iter_mut().zip(targets) {
-            if eval_tests(tests, block, i) {
-                series[b] += 1;
+    }
+
+    /// Counts one block: masks, then rows, a chunk at a time. `single`
+    /// is the bucket the zone map confines the whole block to, if any.
+    fn block(
+        &mut self,
+        block: &ColumnBlock<'_>,
+        xs: &[f64],
+        index: &CutIndex<'_>,
+        single: Option<usize>,
+    ) {
+        let nt = self.targets.len();
+        for rows in mask_chunks(block.rows) {
+            let words = rows.len().div_ceil(64);
+            self.live.resize(words, 0);
+            mask_into(
+                self.presumptive,
+                block,
+                rows.clone(),
+                &mut self.live,
+                1,
+                &mut self.repack,
+            );
+            self.hits.resize(words * nt, 0);
+            for (k, tests) in self.targets.iter().enumerate() {
+                mask_into(
+                    tests,
+                    block,
+                    rows.clone(),
+                    &mut self.hits[k..],
+                    nt,
+                    &mut self.repack,
+                );
+            }
+            match (single, &index.grid) {
+                (Some(b), _) => self.single_bucket_rows(b, block, xs, rows),
+                // Hoist the grid dispatch out of the row loop.
+                (None, Some(g)) => {
+                    self.spread_rows(block, xs, rows, |x| grid_probe(g, index.cuts, x))
+                }
+                (None, None) => {
+                    self.spread_rows(block, xs, rows, |x| index.cuts.partition_point(|&c| c < x))
+                }
             }
         }
-        for (series, &col) in counts.sums.iter_mut().zip(sum_cols) {
-            series[b] += block.numeric[col][i];
+    }
+
+    /// The row loop: walks the set bits of the presumptive mask; per
+    /// row one probe and one packed-entry update — row count, the
+    /// row-order min/max fold, an unconditional `+= bit` per target,
+    /// a row-order add per sum.
+    #[inline(always)]
+    fn spread_rows(
+        &mut self,
+        block: &ColumnBlock<'_>,
+        xs: &[f64],
+        rows: Range<usize>,
+        bucket_of: impl Fn(f64) -> usize,
+    ) {
+        let nt = self.targets.len();
+        for (w, &live) in self.live.iter().enumerate() {
+            let hits = &self.hits[w * nt..(w + 1) * nt];
+            let mut live = live;
+            while live != 0 {
+                let j = live.trailing_zeros() as usize;
+                live &= live - 1;
+                let i = rows.start + w * 64 + j;
+                let x = xs[i];
+                let e = self.acc.entry(bucket_of(x));
+                e[ROWS] += 1;
+                fold_range(e, x);
+                let (hit_slots, sum_slots) = e[HITS..].split_at_mut(nt);
+                for (slot, &mask) in hit_slots.iter_mut().zip(hits) {
+                    *slot += (mask >> j) & 1;
+                }
+                for (slot, &col) in sum_slots.iter_mut().zip(self.sum_cols) {
+                    add_sum(slot, block.numeric[col][i]);
+                }
+            }
+        }
+    }
+
+    /// A chunk whose rows all land in bucket `b` with no presumptive
+    /// filter: one add for the rows, a sequential min/max sweep for the
+    /// observed range, a popcount per target mask, and sequential
+    /// row-order adds for sums — through the same packed entry as
+    /// [`spread_rows`](Self::spread_rows), so the range fold and the
+    /// sum chains stay unbroken across both kinds of block.
+    fn single_bucket_rows(
+        &mut self,
+        b: usize,
+        block: &ColumnBlock<'_>,
+        xs: &[f64],
+        rows: Range<usize>,
+    ) {
+        let nt = self.targets.len();
+        let e = self.acc.entry(b);
+        e[ROWS] += rows.len() as u64;
+        for &x in &xs[rows.clone()] {
+            fold_range(e, x);
+        }
+        let (hit_slots, sum_slots) = e[HITS..].split_at_mut(nt);
+        for (k, slot) in hit_slots.iter_mut().enumerate() {
+            let mask = self.hits.iter().skip(k).step_by(nt);
+            *slot += mask.map(|word| u64::from(word.count_ones())).sum::<u64>();
+        }
+        for (slot, &col) in sum_slots.iter_mut().zip(self.sum_cols) {
+            for &v in &block.numeric[col][rows.clone()] {
+                add_sum(slot, v);
+            }
         }
     }
 }

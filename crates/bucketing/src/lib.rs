@@ -22,9 +22,10 @@
 //! * [`boundaries`] — step 3: sample quantiles → cuts;
 //! * [`assign`] — step 4: the counting scan, with optional presumptive
 //!   filters (Section 4.3) and per-bucket numeric sums (Section 5),
-//!   dispatching to compiled columnar kernels (zone-map block
-//!   skipping, grid-probed bucket assignment, word-wise Boolean
-//!   popcounts) when the storage supports them;
+//!   dispatching to the compiled columnar kernel (projection
+//!   push-down, zone-map block skipping, column-wise condition masks,
+//!   grid-probed bucket assignment into packed per-bucket entries)
+//!   when the storage supports it;
 //! * [`equidepth`] — the Algorithm 3.1 driver;
 //! * [`parallel`] — Algorithm 3.2: communication-free partitioned
 //!   counting on worker threads;
@@ -63,7 +64,7 @@ pub use equidepth::{equi_depth_cuts, EquiDepthConfig, SamplingMethod};
 pub use equiwidth::equi_width_cuts;
 pub use error::BucketingError;
 pub use finest::{finest_cuts, finest_cuts_for_integer_domain};
-pub use kernel::CompiledCond;
+pub use kernel::{mask_chunks, CompiledCond, CutIndex, RowMask};
 pub use naive::{exact_equi_depth_cuts, naive_sort_cuts};
 pub use parallel::count_buckets_parallel;
 pub use sampling::sample_indices;

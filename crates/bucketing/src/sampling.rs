@@ -31,7 +31,9 @@ pub fn sample_indices(n: u64, s: u64, seed: u64) -> Vec<u64> {
     (0..s).map(|_| rng.gen_range(0..n)).collect()
 }
 
-/// Draws `s` values of `attr` uniformly with replacement.
+/// Draws `s` values of `attr` uniformly with replacement, fetched in
+/// one batch so storage can coalesce the reads (the sample stays in
+/// draw order).
 ///
 /// # Errors
 ///
@@ -46,10 +48,9 @@ pub fn sample_with_replacement<R: RandomAccess + ?Sized>(
     if n == 0 {
         return Err(BucketingError::EmptyRelation);
     }
-    let mut out = Vec::with_capacity(s as usize);
-    for row in sample_indices(n, s, seed) {
-        out.push(rel.numeric_at(attr, row)?);
-    }
+    let rows = sample_indices(n, s, seed);
+    let mut out = vec![0.0; rows.len()];
+    rel.numeric_at_many(attr, &rows, &mut out)?;
     Ok(out)
 }
 

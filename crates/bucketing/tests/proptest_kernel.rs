@@ -9,6 +9,15 @@
 //! The oracle is [`VisitorOnly`], a wrapper that forwards `TupleScan`
 //! but deliberately keeps the default `as_columnar() == None`, forcing
 //! `count_buckets_range` down the row-visitor fallback.
+//!
+//! The generators aim at what the mask-compiled loop could get wrong:
+//! several targets at once, each a conjunction mixing `BoolIs(_,
+//! false)`, `NumEq` and `NumInRange`; a presumptive filter together
+//! with sum targets; blocks and mask chunks whose row count is not a
+//! multiple of 64 and scans of three blocks and more; segments
+//! confined to one bucket between segments that spread; and columns
+//! holding both `0.0` and `-0.0`, whose min/max ties and sums show in
+//! the bits.
 
 use optrules_bucketing::assign::count_buckets_range;
 use optrules_bucketing::{count_buckets_parallel, BucketCounts, BucketSpec, CountSpec};
@@ -114,23 +123,28 @@ fn build_cond(seed: &CondSeed, n_num: usize, n_bool: usize) -> Condition {
     }
 }
 
+/// The conjunction of `seeds`, in order (`True` when there are none).
+fn build_conjunction(seeds: &[CondSeed], n_num: usize, n_bool: usize) -> Condition {
+    let mut cond = Condition::True;
+    for seed in seeds {
+        cond = cond.and(build_cond(seed, n_num, n_bool));
+    }
+    cond
+}
+
 fn build_spec(
     n_num: usize,
     n_bool: usize,
     presumptive: &[CondSeed],
-    bool_targets: &[CondSeed],
+    bool_targets: &[Vec<CondSeed>],
     sum_targets: &[usize],
 ) -> CountSpec {
-    let mut pres = Condition::True;
-    for seed in presumptive {
-        pres = pres.and(build_cond(seed, n_num, n_bool));
-    }
     CountSpec {
         attr: NumAttr(0),
-        presumptive: pres,
+        presumptive: build_conjunction(presumptive, n_num, n_bool),
         bool_targets: bool_targets
             .iter()
-            .map(|s| build_cond(s, n_num, n_bool))
+            .map(|seeds| build_conjunction(seeds, n_num, n_bool))
             .collect(),
         sum_targets: sum_targets.iter().map(|&i| NumAttr(i % n_num)).collect(),
     }
@@ -138,9 +152,16 @@ fn build_spec(
 
 /// Values live on a narrow lattice (multiples of 0.25 in [-64, 64]) so
 /// duplicates, cut collisions, and zone overlaps all actually happen,
-/// and every value is exactly representable.
+/// and every value is exactly representable. One value in four is a
+/// zero of either sign: `0.0 == -0.0` in every comparison the scan
+/// makes, yet the two differ in bits, so a min/max tie broken the
+/// other way or a re-associated sum would show.
 fn lattice() -> impl Strategy<Value = f64> {
-    (-256i32..=256).prop_map(|q| q as f64 * 0.25)
+    (0u8..8, -256i32..=256).prop_map(|(kind, q)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        _ => q as f64 * 0.25,
+    })
 }
 
 /// Rows at the maximum arity (3 numeric, 2 Boolean); the tests
@@ -153,6 +174,28 @@ fn arb_rows() -> impl Strategy<Value = Vec<(Vec<f64>, Vec<bool>)>> {
         ),
         0..200,
     )
+}
+
+/// A batch of rows that is either spread over the lattice or, when
+/// `narrow`, confined to one value of the bucketed attribute — a
+/// segment whose zone map lands in a single bucket, so single-bucket
+/// blocks come up between spread ones.
+fn arb_batch() -> impl Strategy<Value = Vec<(Vec<f64>, Vec<bool>)>> {
+    (arb_rows(), any::<bool>()).prop_map(|(mut rows, narrow)| {
+        if narrow {
+            if let Some(x) = rows.first().map(|(nums, _)| nums[0]) {
+                for (nums, _) in &mut rows {
+                    nums[0] = x;
+                }
+            }
+        }
+        rows
+    })
+}
+
+/// Several Boolean targets, each a conjunction of up to three tests.
+fn arb_targets() -> impl Strategy<Value = Vec<Vec<CondSeed>>> {
+    prop::collection::vec(cond_seeds(), 0..4)
 }
 
 /// Cut points widened past the data lattice so some cuts fall outside
@@ -215,8 +258,13 @@ fn frames(rows: &[(Vec<f64>, Vec<bool>)], n_num: usize, n_bool: usize) -> Vec<Ro
 
 static DIR_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// The debug run keeps `debug_assert!`s on; the release run (CI's
+/// `cargo test --release`) exercises the vectorized loops at 4× the
+/// cases.
+const RELEASE_FACTOR: u32 = if cfg!(debug_assertions) { 1 } else { 4 };
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(96 * RELEASE_FACTOR))]
 
     /// In-memory relations: one block, whole-relation zones.
     #[test]
@@ -226,7 +274,7 @@ proptest! {
         rows in arb_rows(),
         cuts in arb_cuts(),
         presumptive in cond_seeds(),
-        bool_targets in cond_seeds(),
+        bool_targets in arb_targets(),
         sum_targets in prop::collection::vec(0usize..8, 0..3),
         lo in 0u64..250,
         hi in 0u64..250,
@@ -239,7 +287,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(64 * RELEASE_FACTOR))]
 
     /// Chunked relations: a base plus several appended segments, each
     /// with its own zone maps; block rebasing across segment seams.
@@ -248,10 +296,10 @@ proptest! {
         n_num in 1usize..4,
         n_bool in 1usize..3,
         base_rows in arb_rows(),
-        batches in prop::collection::vec(arb_rows(), 1..5),
+        batches in prop::collection::vec(arb_batch(), 1..5),
         cuts in arb_cuts(),
         presumptive in cond_seeds(),
-        bool_targets in cond_seeds(),
+        bool_targets in arb_targets(),
         sum_targets in prop::collection::vec(0usize..8, 0..3),
         lo in 0u64..600,
         hi in 0u64..600,
@@ -274,11 +322,11 @@ proptest! {
     #[test]
     fn kernel_matches_visitor_on_durable(
         base_rows in arb_rows(),
-        batches in prop::collection::vec(arb_rows(), 1..4),
+        batches in prop::collection::vec(arb_batch(), 1..4),
         spill_rows in 4u64..40,
         cuts in arb_cuts(),
         presumptive in cond_seeds(),
-        bool_targets in cond_seeds(),
+        bool_targets in arb_targets(),
         sum_targets in prop::collection::vec(0usize..8, 0..3),
         lo in 0u64..600,
         hi in 0u64..600,
@@ -310,6 +358,86 @@ proptest! {
         let what = build_spec(n_num, n_bool, &presumptive, &bool_targets, &sum_targets);
         check_equivalence(&rel, &spec, &what, lo.min(hi)..lo.max(hi));
         drop(rel);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// `rows` pseudo-random rows from `seed`: the bucketed attribute runs
+/// in stretches of a few thousand rows that are alternately spread and
+/// confined to one value, the other cells are lattice values and coin
+/// flips with zeros of both signs mixed in.
+fn big_rows(seed: u64, rows: usize) -> Vec<(Vec<f64>, Vec<bool>)> {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let lattice = |r: u64| match r % 8 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => ((r >> 8) % 513) as f64 * 0.25 - 64.0,
+    };
+    (0..rows)
+        .map(|i| {
+            let stretch = i / 3000;
+            let x = if stretch % 2 == 1 {
+                stretch as f64
+            } else {
+                lattice(next())
+            };
+            let (r, b) = (next(), next());
+            (
+                vec![x, lattice(r), lattice(r >> 24)],
+                vec![b & 1 == 1, b & 2 == 2],
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6 * RELEASE_FACTOR))]
+
+    /// Scans of three blocks and more, none a multiple of 64 rows: one
+    /// in-memory block walked in several mask chunks, and a file-backed
+    /// base of several decoded blocks under an appended tail.
+    #[test]
+    fn kernel_matches_visitor_across_many_blocks(
+        seed in any::<u64>(),
+        rows in 16_500usize..20_000,
+        tail in 1usize..300,
+        cuts in arb_cuts(),
+        presumptive in cond_seeds(),
+        bool_targets in arb_targets(),
+        sum_targets in prop::collection::vec(0usize..8, 0..3),
+        lo in 0u64..9_000,
+    ) {
+        let (n_num, n_bool) = (3, 2);
+        let s = schema(n_num, n_bool);
+        let data = big_rows(seed, rows + tail);
+        let spec = BucketSpec::from_cuts(cuts);
+        let what = build_spec(n_num, n_bool, &presumptive, &bool_targets, &sum_targets);
+        let range = lo..(rows + tail) as u64 - 1;
+
+        let memory = memory_relation(&s, &data);
+        check_equivalence(&memory, &spec, &what, range.clone());
+
+        let dir = std::env::temp_dir().join(format!(
+            "optrules-prop-kernel-big-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = FileRelationWriter::create(dir.join("base.rel"), s).unwrap();
+        for (nums, bools) in &data[..rows] {
+            w.push_row(nums, bools).unwrap();
+        }
+        let chunked = ChunkedRelation::new(w.finish().unwrap())
+            .with_rows(&frames(&data[rows..], n_num, n_bool))
+            .unwrap();
+        check_equivalence(&chunked, &spec, &what, range);
+        drop(chunked);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

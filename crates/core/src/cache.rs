@@ -359,6 +359,25 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
+    /// Drops every entry `keep` rejects. This is retirement, not budget
+    /// pressure: the drops are not counted as evictions, and recency
+    /// and the other counters are untouched. In-flight computations
+    /// are left alone, as in [`clear`](Self::clear).
+    pub fn retain(&self, keep: impl Fn(&K) -> bool) {
+        for shard in &self.shards {
+            let mut shard = shard.write().expect("cache shard poisoned");
+            let mut freed = 0;
+            shard.map.retain(|key, entry| {
+                let kept = keep(key);
+                if !kept {
+                    freed += entry.cost;
+                }
+                kept
+            });
+            shard.cost -= freed;
+        }
+    }
+
     /// Drops every entry and resets all counters. In-flight
     /// computations are left alone: removing a registry entry here
     /// would strand its waiters, and the flight resolves through its

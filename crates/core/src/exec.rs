@@ -168,6 +168,18 @@ enum CacheKey {
     Grid(GridKey),
 }
 
+impl CacheKey {
+    /// The relation generation the artifact was computed over (a
+    /// grid's two axes always share one).
+    fn generation(&self) -> u64 {
+        match self {
+            CacheKey::Bucket(key) => key.generation,
+            CacheKey::Scan(key) => key.bucket.generation,
+            CacheKey::Grid(key) => key.x.generation,
+        }
+    }
+}
+
 /// The artifact stored under a [`CacheKey`].
 #[derive(Debug, Clone)]
 enum CacheValue {
@@ -271,6 +283,14 @@ impl Executor {
         self.counters.scan_cache_hits.store(0, Ordering::Relaxed);
         self.counters.coalesced_waits.store(0, Ordering::Relaxed);
         self.optimize.reset();
+    }
+
+    /// Drops every cached artifact of a generation before `generation`
+    /// — entries no lookup can reach any more once every snapshot that
+    /// old is unpinned. Retirement is not budget pressure: `evictions`
+    /// does not move.
+    pub fn retire_before(&self, generation: u64) {
+        self.cache.retain(|key| key.generation() >= generation);
     }
 
     /// The singleflight cached-compute path shared by every artifact

@@ -190,7 +190,9 @@ use crate::shared::{LocalSource, SharedEngine};
 use crate::spec::{resolve_conjunction, CondSpec, QuerySpec};
 use optrules_bucketing::{BucketSpec, CountSpec};
 use optrules_obs::{Span, Timer};
-use optrules_relation::{AppendRows, Condition, Durability, NumAttr, RandomAccess, Schema};
+use optrules_relation::{
+    AppendRows, Condition, Durability, NumAttr, RandomAccess, RelationError, Schema,
+};
 use std::fmt::Display;
 
 /// One parsed request line of the NDJSON protocol, produced by
@@ -632,22 +634,19 @@ where
         response
     }
 
+    /// One batched fetch on the pinned relation; an out-of-range index
+    /// is reported as the fetch reports it — the first offender in
+    /// request order.
     fn values(&self, attr: NumAttr, indices: Vec<u64>) -> Json {
         let pinned = self.engine.pin();
-        let rows = pinned.rows();
-        let mut values = Vec::with_capacity(indices.len());
-        for index in indices {
-            if index >= rows {
-                return error_envelope(format!(
-                    "bad request: row index {index} out of range ({rows} rows)"
-                ));
-            }
-            match pinned.relation().numeric_at(attr, index) {
-                Ok(value) => values.push(value),
-                Err(e) => return error_envelope(e.to_string()),
-            }
+        let mut values = vec![0.0; indices.len()];
+        match (pinned.relation()).numeric_at_many(attr, &indices, &mut values) {
+            Ok(()) => ok_envelope(values_reply_to_value(&values, pinned.generation())),
+            Err(RelationError::RowOutOfBounds { row, len }) => error_envelope(format!(
+                "bad request: row index {row} out of range ({len} rows)"
+            )),
+            Err(e) => error_envelope(e.to_string()),
         }
-        ok_envelope(values_reply_to_value(&values, pinned.generation()))
     }
 
     fn metrics(&self) -> Json {

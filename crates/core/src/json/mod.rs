@@ -757,6 +757,35 @@ mod tests {
     }
 
     #[test]
+    fn values_frame_answers_in_request_order_and_names_the_first_bad_index() {
+        use optrules_relation::{ChunkedRelation, Relation};
+        let schema = Schema::builder().numeric("X").numeric("Y").build();
+        let mut rel = Relation::new(schema);
+        for i in 0..10 {
+            rel.push_row(&[i as f64, 100.0 + i as f64], &[]).unwrap();
+        }
+        let engine = crate::SharedEngine::new(ChunkedRelation::new(rel));
+        let ask = |line: &str| {
+            let (replies, _) = execute_requests(&engine, vec![parse_request(line)], 1, None);
+            replies[0].encode()
+        };
+        // Unsorted, with a duplicate: the reply keeps request order.
+        assert_eq!(
+            ask(r#"{"cmd":"values","attr":"Y","indices":[7,0,7,3]}"#),
+            r#"{"ok":{"generation":0,"values":[107,100,107,103]}}"#
+        );
+        assert_eq!(
+            ask(r#"{"cmd":"values","attr":"X","indices":[]}"#),
+            r#"{"ok":{"generation":0,"values":[]}}"#
+        );
+        // Two bad indices, the first in the middle and not the largest.
+        assert_eq!(
+            ask(r#"{"cmd":"values","attr":"X","indices":[1,9,12,4,99,10]}"#),
+            r#"{"error":"bad request: row index 12 out of range (10 rows)"}"#
+        );
+    }
+
+    #[test]
     fn count_frame_round_trips_explicit_spec() {
         let schema = Schema::builder()
             .numeric("X")

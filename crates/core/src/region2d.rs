@@ -21,7 +21,8 @@ use crate::confidence::optimize_confidence;
 use crate::error::{CoreError, Result};
 use crate::ratio::{cmp_fractions, Ratio};
 use crate::support::optimize_support;
-use optrules_bucketing::{BucketSpec, CompiledCond};
+use optrules_bucketing::{mask_chunks, BucketSpec, CompiledCond, CutIndex, RowMask};
+use optrules_relation::columnar::Projection;
 use optrules_relation::{Condition, NumAttr, TupleScan};
 use std::cmp::Ordering;
 
@@ -46,9 +47,11 @@ impl GridCounts {
     /// `objective`).
     ///
     /// Dispatches to a columnar block loop when the storage exposes
-    /// [`ColumnarScan`](optrules_relation::columnar::ColumnarScan)
-    /// (compiled condition tests, zone-map block skipping for the
-    /// presumptive filter), falling back to the row visitor otherwise.
+    /// [`ColumnarScan`](optrules_relation::columnar::ColumnarScan):
+    /// the scan projects the two axes plus the columns its conditions
+    /// read, compiles both conditions to column-wise bit masks, skips
+    /// blocks the zone maps rule out, and walks the set bits of the
+    /// presumptive mask. Otherwise it falls back to the row visitor.
     /// Both paths fold in row order with identical operation pairing,
     /// so the result is bit-identical either way.
     ///
@@ -82,23 +85,37 @@ impl GridCounts {
             y_ranges: vec![(f64::INFINITY, f64::NEG_INFINITY); ny],
             total_rows: 0,
         };
+        let (x_index, y_index) = (CutIndex::new(x_spec.cuts()), CutIndex::new(y_spec.cuts()));
         if let Some(cols) = rel.as_columnar() {
             let pres = CompiledCond::compile(presumptive);
             let obj = CompiledCond::compile(objective);
-            cols.for_each_block_in(0..rel.len(), &mut |block| {
+            let mut projection = Projection::none();
+            projection.add_numeric(x_attr.0);
+            projection.add_numeric(y_attr.0);
+            pres.project(&mut projection);
+            obj.project(&mut projection);
+            let (mut live, mut hits) = (RowMask::default(), RowMask::default());
+            cols.for_each_block_projected(0..rel.len(), &projection, &mut |block| {
                 grid.total_rows += block.rows as u64;
                 if pres.rejects_block(&block.zones) {
                     // Every row fails the presumptive filter: only the
                     // row total moves, exactly as the visitor would.
                     return;
                 }
-                let xs = block.numeric[x_attr.0];
-                let ys = block.numeric[y_attr.0];
-                for i in 0..block.rows {
-                    if !pres.eval(block, i) {
-                        continue;
+                for rows in mask_chunks(block.rows) {
+                    live.fill(&pres, block, rows.clone());
+                    hits.fill(&obj, block, rows.clone());
+                    let xs = &block.numeric[x_attr.0][rows.clone()];
+                    let ys = &block.numeric[y_attr.0][rows];
+                    for (w, (&live, &hits)) in live.words().iter().zip(hits.words()).enumerate() {
+                        let mut live = live;
+                        while live != 0 {
+                            let j = live.trailing_zeros() as usize;
+                            live &= live - 1;
+                            let i = w * 64 + j;
+                            grid.tally(xs[i], ys[i], &x_index, &y_index, (hits >> j) & 1);
+                        }
                     }
-                    grid.tally(xs[i], ys[i], x_spec, y_spec, obj.eval(block, i));
                 }
             })?;
         } else {
@@ -108,15 +125,18 @@ impl GridCounts {
                     return;
                 }
                 let (x, y) = (nums[x_attr.0], nums[y_attr.0]);
-                grid.tally(x, y, x_spec, y_spec, objective.eval(nums, bools));
+                let hit = u64::from(objective.eval(nums, bools));
+                grid.tally(x, y, &x_index, &y_index, hit);
             })?;
         }
         Ok(grid)
     }
 
-    /// One row's cell update, shared by both scan paths.
+    /// One row's cell update, shared by both scan paths: a
+    /// [`CutIndex`] probe per axis (exactly `BucketSpec::bucket_of`),
+    /// then the cell counts and the two observed-range folds.
     #[inline]
-    fn tally(&mut self, x: f64, y: f64, x_spec: &BucketSpec, y_spec: &BucketSpec, hit: bool) {
+    fn tally(&mut self, x: f64, y: f64, x_index: &CutIndex<'_>, y_index: &CutIndex<'_>, hit: u64) {
         debug_assert!(
             x.is_finite(),
             "non-finite value {x} reached the grid counting scan"
@@ -125,11 +145,9 @@ impl GridCounts {
             y.is_finite(),
             "non-finite value {y} reached the grid counting scan"
         );
-        let (i, j) = (x_spec.bucket_of(x), y_spec.bucket_of(y));
+        let (i, j) = (x_index.bucket_of(x), y_index.bucket_of(y));
         self.u[i * self.ny + j] += 1;
-        if hit {
-            self.v[i * self.ny + j] += 1;
-        }
+        self.v[i * self.ny + j] += hit;
         let rx = &mut self.x_ranges[i];
         rx.0 = rx.0.min(x);
         rx.1 = rx.1.max(x);

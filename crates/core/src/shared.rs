@@ -56,9 +56,13 @@
 //!   snapshot on a fresh engine — snapshot isolation, oracle-tested in
 //!   `crates/core/tests/proptest_live.rs`;
 //! * cache keys ([`BucketKey`]/[`ScanKey`]) carry the generation id, so
-//!   entries from old generations need no explicit invalidation: they
-//!   simply stop being looked up and age out through the cost-aware
-//!   LRU, while singleflight keeps coalescing per (generation, key).
+//!   a superseded generation's entries can never be served to a newer
+//!   snapshot, while singleflight keeps coalescing per (generation,
+//!   key). They are also **retired**: the append that makes generation
+//!   `g + 1` drops every entry of a generation before `g`, keeping the
+//!   just-superseded `g` for batches still pinned to it — so a stream
+//!   of appends and requeries holds two generations' worth of
+//!   artifacts, not a cache budget's worth of dead ones.
 //!   [`clear_cache`](SharedEngine::clear_cache) is *never* needed
 //!   around appends.
 //!
@@ -216,10 +220,10 @@ pub fn spec_fingerprint(what: &CountSpec) -> ScanWhat {
 /// bucketizations plus what was counted — an `nx × ny` grid is a
 /// shareable work unit exactly like a 1-D scan, and both
 /// [`BucketKey`]s carry the generation tag, so snapshot pinning and
-/// LRU aging work unchanged. Unlike [`ScanKey`] there is no `threads`
-/// component: a grid holds only integer counts and min/max range
-/// folds, and the scan itself always runs sequentially over blocks,
-/// so the artifact is identical at every worker count.
+/// generation retirement work unchanged. Unlike [`ScanKey`] there is
+/// no `threads` component: a grid holds only integer counts and
+/// min/max range folds, and the scan itself always runs sequentially
+/// over blocks, so the artifact is identical at every worker count.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GridKey {
     /// The x-axis bucketization.
@@ -590,8 +594,12 @@ impl<R: RandomAccess> SharedEngine<R> {
     ///   apply in a total order;
     /// * in-flight queries and batches are untouched: they pinned a
     ///   generation and keep scanning it (snapshot isolation);
-    /// * no cache invalidation happens or is needed — old generations'
-    ///   entries stop being looked up and age out via the LRU.
+    /// * no lookup can reach a superseded generation's cache entries
+    ///   (keys carry the generation), and the append that makes
+    ///   generation `g + 1` retires every entry older than `g`. The
+    ///   just-superseded `g` stays for batches still pinned to it.
+    ///   These drops are not `evictions`, which stays the
+    ///   budget-pressure signal.
     ///
     /// Appending zero rows is a no-op that does **not** bump the
     /// generation.
@@ -618,11 +626,15 @@ impl<R: RandomAccess> SharedEngine<R> {
         // latest version — no other append can land in between.
         let next = Arc::new(current.rel.with_rows(rows)?);
         let total_rows = next.len();
-        let mut current = self.current.write().expect("generation lock poisoned");
-        current.id += 1;
-        current.rel = next;
+        let generation = {
+            let mut current = self.current.write().expect("generation lock poisoned");
+            current.id += 1;
+            current.rel = next;
+            current.id
+        };
+        self.exec.retire_before(generation - 1);
         Ok(AppendOutcome {
-            generation: current.id,
+            generation,
             appended: rows.len() as u64,
             total_rows,
         })
@@ -725,9 +737,10 @@ impl<R: RandomAccess> SharedEngine<R> {
 
     /// Drops all cached bucketizations and scans and resets the
     /// counters. Never needed around [`append_rows`](Self::append_rows)
-    /// — generation-tagged cache keys make stale entries unreachable —
-    /// nor for sizing (the bounded cache evicts on its own); it exists
-    /// for tests and for reclaiming memory eagerly.
+    /// — generation-tagged cache keys make stale entries unreachable and
+    /// the append retires them — nor for sizing (the bounded cache
+    /// evicts on its own); it exists for tests and for reclaiming
+    /// memory eagerly.
     pub fn clear_cache(&self) {
         self.exec.clear();
         self.obs.kernel_scans.store(0, Ordering::Relaxed);
@@ -1021,6 +1034,56 @@ mod tests {
         // The snapshot exposes the generation/rows pair.
         let snapshot = engine.snapshot();
         assert_eq!((snapshot.generation, snapshot.rows), (1, 2_002));
+    }
+
+    #[test]
+    fn superseded_generations_are_retired_not_evicted() {
+        use optrules_relation::{ChunkedRelation, RowFrame};
+        let rel = ChunkedRelation::new(BankGenerator::default().to_relation(2_000, 3));
+        let config = EngineConfig {
+            buckets: 20,
+            seed: 7,
+            ..EngineConfig::default()
+        };
+        let engine = SharedEngine::with_config(rel, config);
+        let spec = QuerySpec::boolean("Balance", "CardLoan");
+        let row = RowFrame {
+            numeric: vec![3_100.0, 41.0, 1_200.0, 15_000.0],
+            boolean: vec![true, false, true],
+        };
+        // One generation caches one bucketization and one all-Booleans
+        // scan: at most 20 cuts plus 20 buckets of 3 + 3 cells.
+        let one_generation = 20 + 20 * 6;
+        for cycle in 0..50 {
+            engine.append_rows(std::slice::from_ref(&row)).unwrap();
+            engine.run_spec(&spec).unwrap();
+            let stats = engine.stats();
+            assert!(
+                stats.cached_cost <= 2 * one_generation,
+                "cycle {cycle}: {} cells cached",
+                stats.cached_cost
+            );
+            assert_eq!(stats.evictions, 0, "retirement is not eviction");
+        }
+        assert_eq!(engine.stats().scans, 50);
+
+        // A batch pinned across one append still hits its entries: the
+        // just-superseded generation is kept.
+        let pinned = engine.pin();
+        let resolved =
+            plan::resolve(&engine.schema, &engine.config, pinned.generation(), &spec).unwrap();
+        let source = engine.source(&pinned.rel);
+        let before = engine.exec.answer(&source, &resolved).unwrap();
+        engine.append_rows(std::slice::from_ref(&row)).unwrap();
+        let hits = engine.stats().hits();
+        let after = engine.exec.answer(&source, &resolved).unwrap();
+        assert_eq!(after, before);
+        assert_eq!(engine.stats().scans, 50, "served from the cache");
+        assert!(engine.stats().hits() > hits);
+        // One more append retires it.
+        engine.append_rows(std::slice::from_ref(&row)).unwrap();
+        engine.exec.answer(&source, &resolved).unwrap();
+        assert_eq!(engine.stats().scans, 51, "retired two appends on");
     }
 
     #[test]

@@ -110,7 +110,10 @@ impl BitColumn {
 /// offset into the shared word array. Supports O(words) masked
 /// popcounts (`u64::count_ones` per word) so counting kernels never
 /// touch bits one at a time.
-#[derive(Debug, Clone, Copy)]
+///
+/// The default span is empty — what an unprojected Boolean column of a
+/// [`ColumnBlock`](crate::columnar::ColumnBlock) holds.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BitSpan<'a> {
     words: &'a [u64],
     /// Bit offset of the span's first bit within `words`.
@@ -118,7 +121,47 @@ pub struct BitSpan<'a> {
     len: usize,
 }
 
-impl BitSpan<'_> {
+impl<'a> BitSpan<'a> {
+    /// The first `len` bits of `words` (bit `i` at
+    /// `words[i / 64] >> (i % 64)`) — how a store that packs its own
+    /// words per block hands them out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` holds fewer than `len` bits.
+    pub fn from_words(words: &'a [u64], len: usize) -> Self {
+        assert!(
+            len <= words.len() * 64,
+            "{len} bits do not fit {} words",
+            words.len()
+        );
+        BitSpan {
+            words,
+            start: 0,
+            len,
+        }
+    }
+
+    /// The bits `range` of this span (0-based within the span), as a
+    /// span of their own — how a kernel walks a large block in
+    /// cache-sized chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds or decreasing.
+    pub fn subspan(&self, range: std::ops::Range<usize>) -> BitSpan<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "bit range {range:?} out of bounds ({})",
+            self.len
+        );
+        BitSpan {
+            words: self.words,
+            start: self.start + range.start,
+            len: range.end - range.start,
+        }
+    }
+
     /// Number of bits in the span.
     pub fn len(&self) -> usize {
         self.len

@@ -30,10 +30,10 @@
 //! a flat relation holding the concatenated rows — the property the
 //! engine's oracle tests (`proptest_live.rs`) pin down.
 
-use crate::columnar::{BlockVisitor, ColumnarScan};
+use crate::columnar::{BlockVisitor, ColumnarScan, Projection};
 use crate::error::{RelationError, Result};
 use crate::memory::Relation;
-use crate::scan::{RandomAccess, RowVisitor, TupleScan};
+use crate::scan::{fetch_by_part, RandomAccess, RowVisitor, TupleScan};
 use crate::schema::{NumAttr, Schema};
 use std::ops::Range;
 use std::sync::Arc;
@@ -255,7 +255,12 @@ impl<B: TupleScan + Send> ColumnarScan for ChunkedRelation<B> {
     ///
     /// Only callable when [`TupleScan::as_columnar`] returned `Some`,
     /// which requires a columnar base.
-    fn for_each_block_in(&self, range: Range<u64>, f: BlockVisitor<'_>) -> Result<()> {
+    fn for_each_block_projected(
+        &self,
+        range: Range<u64>,
+        cols: &Projection,
+        f: BlockVisitor<'_>,
+    ) -> Result<()> {
         let start = range.start;
         let end = range.end.min(self.rows);
         if start >= end {
@@ -266,7 +271,7 @@ impl<B: TupleScan + Send> ColumnarScan for ChunkedRelation<B> {
                 .base
                 .as_columnar()
                 .expect("ColumnarScan invoked on a ChunkedRelation with a non-columnar base");
-            base.for_each_block_in(start..end.min(self.base_rows), f)?;
+            base.for_each_block_projected(start..end.min(self.base_rows), cols, f)?;
         }
         for (seg, &seg_start) in self.tail.iter().zip(&self.starts) {
             if end <= seg_start {
@@ -278,7 +283,7 @@ impl<B: TupleScan + Send> ColumnarScan for ChunkedRelation<B> {
             }
             let lo = start.max(seg_start) - seg_start;
             let hi = end.min(seg_end) - seg_start;
-            seg.for_each_block_in(lo..hi, &mut |block| {
+            seg.for_each_block_projected(lo..hi, cols, &mut |block| {
                 f(&block.rebased(seg_start + block.start));
             })?;
         }
@@ -301,6 +306,25 @@ impl<B: RandomAccess + Send> RandomAccess for ChunkedRelation<B> {
         // before `row`.
         let i = self.starts.partition_point(|&s| s <= row) - 1;
         self.tail[i].numeric_at(attr, row - self.starts[i])
+    }
+
+    /// One batched fetch per segment the draw touches: the base gets
+    /// its indices in one call (so a file-backed base coalesces its
+    /// reads), the in-memory tail segments theirs.
+    fn numeric_at_many(&self, attr: NumAttr, rows: &[u64], out: &mut [f64]) -> Result<()> {
+        let starts: Vec<u64> = std::iter::once(0)
+            .chain(self.starts.iter().copied())
+            .collect();
+        fetch_by_part(
+            &starts,
+            self.rows,
+            rows,
+            out,
+            |part, rows, out| match part {
+                0 => self.base.numeric_at_many(attr, rows, out),
+                _ => self.tail[part - 1].numeric_at_many(attr, rows, out),
+            },
+        )
     }
 }
 

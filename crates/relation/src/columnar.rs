@@ -11,7 +11,8 @@
 //! in row order, with per-block **zone maps** (min/max per numeric
 //! column) so a kernel can skip blocks that provably cannot satisfy a
 //! range condition and collapse blocks whose values all fall in one
-//! bucket.
+//! bucket. A scan names the columns it will read in a [`Projection`],
+//! so a store that has to decode decodes only those.
 //!
 //! Storage opts in by overriding
 //! [`TupleScan::as_columnar`](crate::scan::TupleScan::as_columnar):
@@ -36,6 +37,15 @@ use std::ops::Range;
 /// the block's rows: implementations may report a looser bound (e.g. a
 /// whole-segment zone for a partial block), so consumers may use zones
 /// to prove values absent, never to prove them present.
+///
+/// # Projection contract
+///
+/// A block produced under a [`Projection`] still has one entry per
+/// schema column in `numeric`, `bits` and `zones`, so column ids index
+/// it unchanged — but a column the projection does not name is
+/// **absent**: an empty slice (or empty span) with zone `(∞, −∞)`,
+/// whatever `rows` says. Consumers read only the columns they asked
+/// for.
 #[derive(Debug, Clone)]
 pub struct ColumnBlock<'a> {
     /// Global row index of the first row in this block.
@@ -43,14 +53,14 @@ pub struct ColumnBlock<'a> {
     /// Number of rows in the block.
     pub rows: usize,
     /// One contiguous slice per numeric attribute (schema column
-    /// order), each exactly `rows` long.
+    /// order), each exactly `rows` long — or empty when unprojected.
     pub numeric: Vec<&'a [f64]>,
     /// One bit span per Boolean attribute (schema column order), each
-    /// exactly `rows` bits long.
+    /// exactly `rows` bits long — or empty when unprojected.
     pub bits: Vec<BitSpan<'a>>,
     /// Per-numeric-column `(min, max)` bounding the block's values
     /// (possibly loosely — see the type docs). `(∞, −∞)` when the
-    /// bound is over zero rows.
+    /// bound is over zero rows or the column is unprojected.
     pub zones: Vec<(f64, f64)>,
 }
 
@@ -66,6 +76,63 @@ impl<'a> ColumnBlock<'a> {
     }
 }
 
+/// The zone of a numeric column with no rows under it: unprojected, or
+/// a bound over zero rows. Every real value lies outside it.
+pub const NO_ZONE: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// The columns a block scan must materialize — the projection a
+/// counting scan pushes down to storage so a store that decodes
+/// (the file-backed one) touches only what the scan reads. See the
+/// [projection contract](ColumnBlock#projection-contract) for what an
+/// unprojected column looks like in a block.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Projection {
+    all: bool,
+    numeric: Vec<bool>,
+    boolean: Vec<bool>,
+}
+
+impl Projection {
+    /// Every column of the schema.
+    pub fn all() -> Self {
+        Self {
+            all: true,
+            ..Self::default()
+        }
+    }
+
+    /// No column yet; add the ones the scan reads.
+    pub fn none() -> Self {
+        Self::default()
+    }
+
+    /// Adds numeric column `col`.
+    pub fn add_numeric(&mut self, col: usize) {
+        if self.numeric.len() <= col {
+            self.numeric.resize(col + 1, false);
+        }
+        self.numeric[col] = true;
+    }
+
+    /// Adds Boolean column `col`.
+    pub fn add_boolean(&mut self, col: usize) {
+        if self.boolean.len() <= col {
+            self.boolean.resize(col + 1, false);
+        }
+        self.boolean[col] = true;
+    }
+
+    /// Whether numeric column `col` is materialized.
+    pub fn has_numeric(&self, col: usize) -> bool {
+        self.all || self.numeric.get(col) == Some(&true)
+    }
+
+    /// Whether Boolean column `col` is materialized.
+    pub fn has_boolean(&self, col: usize) -> bool {
+        self.all || self.boolean.get(col) == Some(&true)
+    }
+}
+
 /// The block callback of [`ColumnarScan::for_each_block_in`].
 pub type BlockVisitor<'a> = &'a mut dyn FnMut(&ColumnBlock<'_>);
 
@@ -73,7 +140,9 @@ pub type BlockVisitor<'a> = &'a mut dyn FnMut(&ColumnBlock<'_>);
 /// block. See the [module docs](self) for the role this plays.
 pub trait ColumnarScan: Sync {
     /// Visits rows `range` as consecutive [`ColumnBlock`]s in row
-    /// order. Clamps exactly like
+    /// order, materializing the columns `cols` names (see the
+    /// [projection contract](ColumnBlock#projection-contract)). Clamps
+    /// exactly like
     /// [`TupleScan::for_each_row_in`](crate::scan::TupleScan::for_each_row_in):
     /// `range.end` is clamped to the row count and an empty or fully
     /// out-of-bounds range visits nothing — a columnar scan over any
@@ -84,13 +153,34 @@ pub trait ColumnarScan: Sync {
     /// # Errors
     ///
     /// Propagates storage errors (I/O and corrupt or non-finite data
-    /// for file-backed relations).
-    fn for_each_block_in(&self, range: Range<u64>, f: BlockVisitor<'_>) -> Result<()>;
+    /// for file-backed relations). A non-finite stored value fails the
+    /// scan whether or not its column is projected.
+    fn for_each_block_projected(
+        &self,
+        range: Range<u64>,
+        cols: &Projection,
+        f: BlockVisitor<'_>,
+    ) -> Result<()>;
+
+    /// [`for_each_block_projected`](Self::for_each_block_projected)
+    /// with every column.
+    ///
+    /// # Errors
+    ///
+    /// As the projected scan.
+    fn for_each_block_in(&self, range: Range<u64>, f: BlockVisitor<'_>) -> Result<()> {
+        self.for_each_block_projected(range, &Projection::all(), f)
+    }
 }
 
 impl<T: ColumnarScan + ?Sized> ColumnarScan for &T {
-    fn for_each_block_in(&self, range: Range<u64>, f: BlockVisitor<'_>) -> Result<()> {
-        (**self).for_each_block_in(range, f)
+    fn for_each_block_projected(
+        &self,
+        range: Range<u64>,
+        cols: &Projection,
+        f: BlockVisitor<'_>,
+    ) -> Result<()> {
+        (**self).for_each_block_projected(range, cols, f)
     }
 }
 

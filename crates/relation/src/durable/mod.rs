@@ -326,6 +326,10 @@ impl RandomAccess for DurableRelation {
     fn numeric_at(&self, attr: NumAttr, row: u64) -> Result<f64> {
         self.inner.numeric_at(attr, row)
     }
+
+    fn numeric_at_many(&self, attr: NumAttr, rows: &[u64], out: &mut [f64]) -> Result<()> {
+        self.inner.numeric_at_many(attr, rows, out)
+    }
 }
 
 impl AppendRows for DurableRelation {

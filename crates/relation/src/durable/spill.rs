@@ -11,10 +11,10 @@
 //! the old state or the new state, never a half-written file that the
 //! next open would trust.
 
-use crate::columnar::{BlockVisitor, ColumnarScan};
+use crate::columnar::{BlockVisitor, ColumnarScan, Projection};
 use crate::error::{RelationError, Result};
 use crate::file::{FileRelation, FileRelationWriter};
-use crate::scan::{RandomAccess, RowVisitor, TupleScan};
+use crate::scan::{fetch_by_part, RandomAccess, RowVisitor, TupleScan};
 use crate::schema::{NumAttr, Schema};
 use std::ops::Range;
 use std::path::Path;
@@ -116,7 +116,12 @@ impl TupleScan for BaseStack {
 impl ColumnarScan for BaseStack {
     /// Forwards to each overlapping [`FileRelation`] part in row order,
     /// rebasing part-local blocks into the stack's global row space.
-    fn for_each_block_in(&self, range: Range<u64>, f: BlockVisitor<'_>) -> Result<()> {
+    fn for_each_block_projected(
+        &self,
+        range: Range<u64>,
+        cols: &Projection,
+        f: BlockVisitor<'_>,
+    ) -> Result<()> {
         let start = range.start;
         let end = range.end.min(self.rows);
         if start >= end {
@@ -132,7 +137,7 @@ impl ColumnarScan for BaseStack {
             }
             let lo = start.max(part_start) - part_start;
             let hi = end.min(part_end) - part_start;
-            part.for_each_block_in(lo..hi, &mut |block| {
+            part.for_each_block_projected(lo..hi, cols, &mut |block| {
                 f(&block.rebased(part_start + block.start));
             })?;
         }
@@ -150,6 +155,12 @@ impl RandomAccess for BaseStack {
         }
         let i = self.starts.partition_point(|&s| s <= row) - 1;
         self.parts[i].numeric_at(attr, row - self.starts[i])
+    }
+
+    fn numeric_at_many(&self, attr: NumAttr, rows: &[u64], out: &mut [f64]) -> Result<()> {
+        fetch_by_part(&self.starts, self.rows, rows, out, |part, rows, out| {
+            self.parts[part].numeric_at_many(attr, rows, out)
+        })
     }
 }
 

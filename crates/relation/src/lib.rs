@@ -22,10 +22,13 @@
 //!   sequentially through buffered I/O;
 //! * [`scan`] — the [`scan::TupleScan`] / [`scan::RandomAccess`] traits
 //!   that bucketing and mining are written against, so every algorithm
-//!   runs unchanged on either store;
+//!   runs unchanged on either store (a whole sample is fetched by one
+//!   [`scan::RandomAccess::numeric_at_many`] call, which the file store
+//!   turns into coalesced reads);
 //! * [`columnar`] — the opt-in [`columnar::ColumnarScan`] fast path:
 //!   per-segment contiguous column slices, bit-packed Boolean spans,
-//!   and zone maps, discovered at runtime via
+//!   and zone maps for the columns a scan's
+//!   [`columnar::Projection`] names, discovered at runtime via
 //!   [`scan::TupleScan::as_columnar`] and consumed by the counting
 //!   kernels in the bucketing crate;
 //! * [`durable`] — crash-safe live relations
@@ -58,7 +61,7 @@ pub mod schema;
 
 pub use bitcol::{BitColumn, BitSpan};
 pub use chunked::{AppendRows, ChunkedRelation, RowFrame};
-pub use columnar::{BlockVisitor, ColumnBlock, ColumnarScan};
+pub use columnar::{BlockVisitor, ColumnBlock, ColumnarScan, Projection};
 pub use condition::Condition;
 pub use durable::{
     Durability, DurabilityConfig, DurabilityMetrics, DurabilityStats, DurableRelation, Recovery,

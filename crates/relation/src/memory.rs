@@ -6,8 +6,8 @@
 //! numeric column (bucket assignment) and testing one Boolean column
 //! (objective-condition counting).
 
-use crate::bitcol::BitColumn;
-use crate::columnar::{BlockVisitor, ColumnBlock, ColumnarScan};
+use crate::bitcol::{BitColumn, BitSpan};
+use crate::columnar::{BlockVisitor, ColumnBlock, ColumnarScan, Projection, NO_ZONE};
 use crate::error::{RelationError, Result};
 use crate::scan::{RandomAccess, TupleScan};
 use crate::schema::{BoolAttr, NumAttr, Schema};
@@ -171,8 +171,14 @@ impl ColumnarScan for Relation {
     /// The whole requested range as a single block borrowing the
     /// column storage directly — zero copying. The block's zones are
     /// the relation-wide zone map, a valid (if loose, for partial
-    /// ranges) bound on any subrange.
-    fn for_each_block_in(&self, range: Range<u64>, f: BlockVisitor<'_>) -> Result<()> {
+    /// ranges) bound on any subrange. Unprojected columns are left
+    /// empty, as the projection contract asks.
+    fn for_each_block_projected(
+        &self,
+        range: Range<u64>,
+        cols: &Projection,
+        f: BlockVisitor<'_>,
+    ) -> Result<()> {
         let end = range.end.min(self.rows);
         if range.start >= end {
             return Ok(());
@@ -181,9 +187,27 @@ impl ColumnarScan for Relation {
         let block = ColumnBlock {
             start: range.start,
             rows: hi - lo,
-            numeric: self.numeric_cols.iter().map(|c| &c[lo..hi]).collect(),
-            bits: self.bool_cols.iter().map(|c| c.span(lo..hi)).collect(),
-            zones: self.zones.clone(),
+            numeric: (self.numeric_cols.iter().enumerate())
+                .map(|(col, c)| {
+                    if cols.has_numeric(col) {
+                        &c[lo..hi]
+                    } else {
+                        &[]
+                    }
+                })
+                .collect(),
+            bits: (self.bool_cols.iter().enumerate())
+                .map(|(col, c)| {
+                    if cols.has_boolean(col) {
+                        c.span(lo..hi)
+                    } else {
+                        BitSpan::default()
+                    }
+                })
+                .collect(),
+            zones: (self.zones.iter().enumerate())
+                .map(|(col, &zone)| if cols.has_numeric(col) { zone } else { NO_ZONE })
+                .collect(),
         };
         f(&block);
         Ok(())
