@@ -316,9 +316,9 @@ proptest! {
         check_equivalence(&rel, &spec, &what, lo.min(hi)..lo.max(hi));
     }
 
-    /// Durable relations: spilled on-disk base segments under a live
-    /// tail, scanned through the durable → chunked → BaseStack columnar
-    /// plumbing.
+    /// Durable relations: spilled on-disk segments stacked as base parts
+    /// under a live tail, scanned through the durable → chunked
+    /// columnar plumbing, one rebase per part.
     #[test]
     fn kernel_matches_visitor_on_durable(
         base_rows in arb_rows(),

@@ -4,17 +4,19 @@
 //! The mining engine's snapshot-isolation model (one *generation* of
 //! the relation per query) needs a store where producing the
 //! next generation after appending `k` rows costs O(k), not a rebuild
-//! of all `N` existing rows. [`ChunkedRelation`] provides that:
+//! of all `N` existing rows. [`ChunkedRelation`] provides that with one
+//! stack of `Arc`-shared, never-copied parts:
 //!
-//! * a **base** segment — any [`TupleScan`]/[`RandomAccess`] store
-//!   (typically the file-backed [`crate::file::FileRelation`] the
-//!   process started from, or an in-memory [`Relation`]) held behind an
-//!   `Arc` and never copied;
+//! * one or more frozen **base parts** — any
+//!   [`TupleScan`]/[`RandomAccess`] store, typically the file-backed
+//!   [`crate::file::FileRelation`] the process started from (or an
+//!   in-memory [`Relation`]). A durable relation stacks its spilled
+//!   segment files here too, after the original base file;
 //! * a list of **frozen tail segments** — in-memory [`Relation`]s
-//!   holding the appended rows, also `Arc`-shared.
+//!   holding the appended rows.
 //!
 //! [`ChunkedRelation::append`] returns a *new* `ChunkedRelation` that
-//! shares every existing segment with its parent and adds one segment
+//! shares every existing part with its parent and adds one segment
 //! for the new rows — the parent is untouched, so readers holding it
 //! keep a bit-stable snapshot forever. To keep the segment list from
 //! growing one entry per append, tail segments are **merged
@@ -22,18 +24,21 @@
 //! that is no larger than itself), which bounds the list at O(log
 //! appended rows) segments and costs each appended row O(log n)
 //! copies over the relation's lifetime — amortized O(k) per
-//! `append(k)` in practice, and never a full-relation rebuild (the
-//! base segment is never copied).
+//! `append(k)` in practice, and never a full-relation rebuild (base
+//! parts are never copied).
 //!
-//! Row order is base rows first, then appended rows in append order,
+//! Row order is base parts first, then appended rows in append order,
 //! so a `ChunkedRelation` scans and random-accesses **identically** to
 //! a flat relation holding the concatenated rows — the property the
-//! engine's oracle tests (`proptest_live.rs`) pin down.
+//! engine's oracle tests (`proptest_live.rs`) pin down. One routing
+//! rule maps a global row to its part, and every read path (row
+//! visitor, block scan, point read, batched read) dispatches once per
+//! part it touches, never once per row.
 
 use crate::columnar::{BlockVisitor, ColumnarScan, Projection};
 use crate::error::{RelationError, Result};
 use crate::memory::Relation;
-use crate::scan::{fetch_by_part, RandomAccess, RowVisitor, TupleScan};
+use crate::scan::{RandomAccess, RowVisitor, TupleScan};
 use crate::schema::{NumAttr, Schema};
 use std::ops::Range;
 use std::sync::Arc;
@@ -79,17 +84,18 @@ impl AppendRows for Relation {
     }
 }
 
-/// A relation version made of `Arc`-shared segments: an arbitrary base
-/// store plus frozen in-memory tail segments of appended rows. See the
+/// A relation version made of `Arc`-shared parts: frozen base parts
+/// followed by frozen in-memory tail segments of appended rows. See the
 /// [module docs](self) for the versioning model.
 #[derive(Debug)]
 pub struct ChunkedRelation<B> {
-    base: Arc<B>,
-    base_rows: u64,
+    /// Frozen base parts, in row order. Never empty.
+    base: Vec<Arc<B>>,
     /// Frozen appended segments, oldest first. Never mutated once part
     /// of a version — `append` builds a new list.
     tail: Vec<Arc<Relation>>,
-    /// Global start row of each tail segment (parallel to `tail`).
+    /// Global start row of every part: the base parts, then the tail
+    /// segments.
     starts: Vec<u64>,
     rows: u64,
 }
@@ -98,8 +104,7 @@ pub struct ChunkedRelation<B> {
 impl<B> Clone for ChunkedRelation<B> {
     fn clone(&self) -> Self {
         Self {
-            base: Arc::clone(&self.base),
-            base_rows: self.base_rows,
+            base: self.base.clone(),
             tail: self.tail.clone(),
             starts: self.starts.clone(),
             rows: self.rows,
@@ -108,39 +113,75 @@ impl<B> Clone for ChunkedRelation<B> {
 }
 
 impl<B: TupleScan + Send> ChunkedRelation<B> {
-    /// Wraps `base` as the immutable base segment of a new chunked
+    /// Wraps `base` as the immutable base part of a new chunked
     /// relation with no appended rows.
     pub fn new(base: B) -> Self {
-        Self::from_arc(Arc::new(base))
+        Self::stack(vec![Arc::new(base)], Vec::new())
     }
 
-    /// Like [`new`](Self::new) over an already-shared base.
-    pub fn from_arc(base: Arc<B>) -> Self {
-        let base_rows = base.len();
+    /// Stacks already-shared base parts end to end, in order, with no
+    /// appended rows — how a durable relation reassembles its base file
+    /// and spilled segments.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationError::SchemaMismatch`] if a part's schema
+    /// differs from the first part's: parts may come from files written
+    /// outside this process, and a mismatched arity would corrupt
+    /// scans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty.
+    pub(crate) fn from_parts(parts: Vec<Arc<B>>) -> Result<Self> {
+        let schema = parts.first().expect("a stack needs a part").schema();
+        if let Some((i, part)) = (parts.iter().enumerate()).find(|(_, p)| p.schema() != schema) {
+            return Err(RelationError::SchemaMismatch {
+                expected: format!("{schema:?}"),
+                got: format!("{:?} (part {i} of the stack)", part.schema()),
+            });
+        }
+        Ok(Self::stack(parts, Vec::new()))
+    }
+
+    /// Lays `base` and then `tail` end to end.
+    fn stack(base: Vec<Arc<B>>, tail: Vec<Arc<Relation>>) -> Self {
+        let lens = (base.iter().map(|p| p.len())).chain(tail.iter().map(|s| s.len()));
+        let mut starts = Vec::with_capacity(base.len() + tail.len());
+        let mut rows = 0;
+        for len in lens {
+            starts.push(rows);
+            rows += len;
+        }
         Self {
             base,
-            base_rows,
-            tail: Vec::new(),
-            starts: Vec::new(),
-            rows: base_rows,
+            tail,
+            starts,
+            rows,
         }
     }
 
-    /// The shared base segment.
-    pub fn base(&self) -> &Arc<B> {
-        &self.base
+    /// The same rows with every appended row moved into `part`, a new
+    /// last base part holding exactly them — what a checkpoint swaps in
+    /// after spilling the tail.
+    pub(crate) fn with_tail_replaced(&self, part: Arc<B>) -> Self {
+        debug_assert_eq!(part.len(), self.appended_rows());
+        let mut base = self.base.clone();
+        base.push(part);
+        Self::stack(base, Vec::new())
     }
 
-    /// Rows appended on top of the base across all versions leading to
-    /// this one.
+    /// Rows appended on top of the base parts across all versions
+    /// leading to this one.
     pub fn appended_rows(&self) -> u64 {
-        self.rows - self.base_rows
+        self.tail.iter().map(|seg| seg.len()).sum()
     }
 
-    /// Number of storage segments (the base plus the frozen tail
-    /// segments) — O(log appended rows) thanks to geometric merging.
+    /// Number of storage parts (the base parts plus the frozen tail
+    /// segments) — O(log appended rows) tail segments thanks to
+    /// geometric merging.
     pub fn segments(&self) -> usize {
-        1 + self.tail.len()
+        self.starts.len()
     }
 
     /// Returns a new version with `rows` appended after every existing
@@ -176,19 +217,44 @@ impl<B: TupleScan + Send> ChunkedRelation<B> {
             tail.pop();
         }
         tail.push(Arc::new(seg));
-        let mut starts = Vec::with_capacity(tail.len());
-        let mut at = self.base_rows;
-        for segment in &tail {
-            starts.push(at);
-            at += segment.len();
+        Self::stack(self.base.clone(), tail)
+    }
+
+    /// Part `i` in row order: the base parts, then the tail segments.
+    fn scan_part(&self, i: usize) -> &dyn TupleScan {
+        match self.base.get(i) {
+            Some(part) => &**part,
+            None => &*self.tail[i - self.base.len()],
         }
-        Self {
-            base: Arc::clone(&self.base),
-            base_rows: self.base_rows,
-            tail,
-            starts,
-            rows: at,
+    }
+
+    /// The part holding global row `row` (`row < len`); an empty part
+    /// never holds a row.
+    fn part_of(&self, row: u64) -> usize {
+        self.starts.partition_point(|&s| s <= row) - 1
+    }
+
+    /// The routing walk: splits `range`, clamped to the relation, over
+    /// the parts it overlaps and calls `visit(part, local range, global
+    /// start of the part)` once per part, in row order.
+    fn walk(
+        &self,
+        range: Range<u64>,
+        mut visit: impl FnMut(usize, Range<u64>, u64) -> Result<()>,
+    ) -> Result<()> {
+        let end = range.end.min(self.rows);
+        if range.start >= end {
+            return Ok(());
         }
+        for i in self.part_of(range.start)..self.starts.len() {
+            let at = self.starts[i];
+            if at >= end {
+                break;
+            }
+            let part_end = self.starts.get(i + 1).copied().unwrap_or(self.rows);
+            visit(i, range.start.max(at) - at..end.min(part_end) - at, at)?;
+        }
+        Ok(())
     }
 }
 
@@ -207,7 +273,7 @@ fn concat(schema: &Schema, a: &Relation, b: &Relation) -> Relation {
 
 impl<B: TupleScan + Send> TupleScan for ChunkedRelation<B> {
     fn schema(&self) -> &Schema {
-        self.base.schema()
+        self.base[0].schema()
     }
 
     fn len(&self) -> u64 {
@@ -215,116 +281,117 @@ impl<B: TupleScan + Send> TupleScan for ChunkedRelation<B> {
     }
 
     fn for_each_row_in(&self, range: Range<u64>, f: RowVisitor<'_>) -> Result<()> {
-        let start = range.start;
-        let end = range.end.min(self.rows);
-        if start >= end {
-            return Ok(());
-        }
-        if start < self.base_rows {
-            self.base
-                .for_each_row_in(start..end.min(self.base_rows), f)?;
-        }
-        for (seg, &seg_start) in self.tail.iter().zip(&self.starts) {
-            if end <= seg_start {
-                break;
+        self.walk(range, |i, local, at| {
+            let part = self.scan_part(i);
+            if at == 0 {
+                return part.for_each_row_in(local, f);
             }
-            let seg_end = seg_start + seg.len();
-            if start >= seg_end {
-                continue;
-            }
-            let lo = start.max(seg_start) - seg_start;
-            let hi = end.min(seg_end) - seg_start;
-            seg.for_each_row_in(lo..hi, &mut |row, nums, bools| {
-                f(seg_start + row, nums, bools);
-            })?;
-        }
-        Ok(())
+            part.for_each_row_in(local, &mut |row, nums, bools| f(at + row, nums, bools))
+        })
     }
 
     fn as_columnar(&self) -> Option<&dyn ColumnarScan> {
-        // Columnar only when the base is: tail segments are in-memory
-        // `Relation`s (always columnar), so the base is the only
-        // segment that can lack the capability.
-        self.base.as_columnar().map(|_| self as &dyn ColumnarScan)
+        // Tail segments are in-memory `Relation`s (always columnar), so
+        // only a base part can lack the capability.
+        (self.base.iter())
+            .all(|part| part.as_columnar().is_some())
+            .then_some(self as &dyn ColumnarScan)
     }
 }
 
 impl<B: TupleScan + Send> ColumnarScan for ChunkedRelation<B> {
-    /// Forwards to each overlapping segment in row order, rebasing
-    /// segment-local blocks into the relation's global row space.
+    /// Forwards to each overlapping part in row order, rebasing
+    /// part-local blocks into the relation's global row space.
     ///
     /// Only callable when [`TupleScan::as_columnar`] returned `Some`,
-    /// which requires a columnar base.
+    /// which requires every base part to be columnar.
     fn for_each_block_projected(
         &self,
         range: Range<u64>,
         cols: &Projection,
         f: BlockVisitor<'_>,
     ) -> Result<()> {
-        let start = range.start;
-        let end = range.end.min(self.rows);
-        if start >= end {
-            return Ok(());
-        }
-        if start < self.base_rows {
-            let base = self
-                .base
-                .as_columnar()
-                .expect("ColumnarScan invoked on a ChunkedRelation with a non-columnar base");
-            base.for_each_block_projected(start..end.min(self.base_rows), cols, f)?;
-        }
-        for (seg, &seg_start) in self.tail.iter().zip(&self.starts) {
-            if end <= seg_start {
-                break;
+        self.walk(range, |i, local, at| {
+            let part = (self.scan_part(i).as_columnar())
+                .expect("ColumnarScan invoked on a ChunkedRelation with a non-columnar part");
+            if at == 0 {
+                return part.for_each_block_projected(local, cols, f);
             }
-            let seg_end = seg_start + seg.len();
-            if start >= seg_end {
-                continue;
-            }
-            let lo = start.max(seg_start) - seg_start;
-            let hi = end.min(seg_end) - seg_start;
-            seg.for_each_block_projected(lo..hi, cols, &mut |block| {
-                f(&block.rebased(seg_start + block.start));
-            })?;
+            part.for_each_block_projected(local, cols, &mut |block| {
+                f(&block.rebased(at + block.start));
+            })
+        })
+    }
+}
+
+impl<B: RandomAccess + Send> ChunkedRelation<B> {
+    /// [`scan_part`](Self::scan_part) with random access.
+    fn access_part(&self, i: usize) -> &dyn RandomAccess {
+        match self.base.get(i) {
+            Some(part) => &**part,
+            None => &*self.tail[i - self.base.len()],
         }
-        Ok(())
     }
 }
 
 impl<B: RandomAccess + Send> RandomAccess for ChunkedRelation<B> {
     fn numeric_at(&self, attr: NumAttr, row: u64) -> Result<f64> {
-        if row < self.base_rows {
-            return self.base.numeric_at(attr, row);
-        }
         if row >= self.rows {
             return Err(RelationError::RowOutOfBounds {
                 row,
                 len: self.rows,
             });
         }
-        // partition_point over starts: the last segment starting at or
-        // before `row`.
-        let i = self.starts.partition_point(|&s| s <= row) - 1;
-        self.tail[i].numeric_at(attr, row - self.starts[i])
+        let i = self.part_of(row);
+        self.access_part(i).numeric_at(attr, row - self.starts[i])
     }
 
-    /// One batched fetch per segment the draw touches: the base gets
-    /// its indices in one call (so a file-backed base coalesces its
-    /// reads), the in-memory tail segments theirs.
+    /// One batched fetch per part the draw touches, so a file-backed
+    /// part coalesces its reads: groups `rows` by part (a stable
+    /// counting sort, so each part sees its indices in request order),
+    /// hands every part one call, and scatters the values back into
+    /// request order.
     fn numeric_at_many(&self, attr: NumAttr, rows: &[u64], out: &mut [f64]) -> Result<()> {
-        let starts: Vec<u64> = std::iter::once(0)
-            .chain(self.starts.iter().copied())
-            .collect();
-        fetch_by_part(
-            &starts,
-            self.rows,
-            rows,
-            out,
-            |part, rows, out| match part {
-                0 => self.base.numeric_at_many(attr, rows, out),
-                _ => self.tail[part - 1].numeric_at_many(attr, rows, out),
-            },
-        )
+        assert_eq!(rows.len(), out.len(), "one output slot per requested row");
+        if let Some(&row) = rows.iter().find(|&&row| row >= self.rows) {
+            return Err(RelationError::RowOutOfBounds {
+                row,
+                len: self.rows,
+            });
+        }
+        let parts = self.starts.len();
+        if parts == 1 {
+            return self.access_part(0).numeric_at_many(attr, rows, out);
+        }
+        // offsets[p]..offsets[p + 1] is part p's run in the grouped order.
+        let mut offsets = vec![0usize; parts + 1];
+        for &row in rows {
+            offsets[self.part_of(row) + 1] += 1;
+        }
+        for p in 0..parts {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut next = offsets.clone();
+        let mut local = vec![0u64; rows.len()];
+        let mut order = vec![0usize; rows.len()];
+        for (i, &row) in rows.iter().enumerate() {
+            let p = self.part_of(row);
+            local[next[p]] = row - self.starts[p];
+            order[next[p]] = i;
+            next[p] += 1;
+        }
+        let mut values = vec![0.0; rows.len()];
+        for p in 0..parts {
+            let run = offsets[p]..offsets[p + 1];
+            if !run.is_empty() {
+                self.access_part(p)
+                    .numeric_at_many(attr, &local[run.clone()], &mut values[run])?;
+            }
+        }
+        for (&i, &v) in order.iter().zip(&values) {
+            out[i] = v;
+        }
+        Ok(())
     }
 }
 
@@ -355,8 +422,13 @@ mod tests {
     }
 
     fn base(rows: usize) -> Relation {
+        rows_in(0..rows)
+    }
+
+    /// Rows `range` of the fixture `base` holds, as one relation.
+    fn rows_in(range: Range<usize>) -> Relation {
         let mut rel = Relation::new(schema());
-        for i in 0..rows {
+        for i in range {
             rel.push_row(&[i as f64, (i * 2) as f64], &[i % 3 == 0])
                 .unwrap();
         }
@@ -521,25 +593,89 @@ mod tests {
     }
 
     #[test]
-    fn columnar_capability_tracks_the_base() {
-        // In-memory base: columnar.
-        assert!(ChunkedRelation::new(base(3)).as_columnar().is_some());
+    fn stacked_parts_scan_like_the_concatenation() {
+        let stack =
+            ChunkedRelation::from_parts(vec![Arc::new(rows_in(0..10)), Arc::new(rows_in(10..25))])
+                .unwrap();
+        assert_eq!(stack.len(), 25);
+        assert_eq!(stack.segments(), 2);
+        assert_eq!(stack.appended_rows(), 0);
+        assert_equiv(&stack, &base(25));
+        // Partial range across the part boundary.
+        let mut xs = Vec::new();
+        stack
+            .for_each_row_in(8..12, &mut |row, nums, _| xs.push((row, nums[0])))
+            .unwrap();
+        assert_eq!(xs, vec![(8, 8.0), (9, 9.0), (10, 10.0), (11, 11.0)]);
+        // Random access on both sides of the boundary; out of bounds errors.
+        for row in [0u64, 9, 10, 24] {
+            assert_eq!(stack.numeric_at(NumAttr(0), row).unwrap(), row as f64);
+        }
+        assert!(matches!(
+            stack.numeric_at(NumAttr(0), 25),
+            Err(RelationError::RowOutOfBounds { row: 25, len: 25 })
+        ));
+        crate::columnar::tests::assert_blocks_match_visitor(&stack, 0..25);
+        crate::columnar::tests::assert_blocks_match_visitor(&stack, 8..12);
+        // Appending stacks the tail after every base part.
+        let grown = stack.append(&[frame(99.0, 0.0, true)]).unwrap();
+        assert_eq!(grown.segments(), 3);
+        assert_eq!(grown.numeric_at(NumAttr(0), 25).unwrap(), 99.0);
+    }
 
-        // A base that only implements the row visitor: not columnar.
-        struct RowsOnly(Relation);
-        impl TupleScan for RowsOnly {
+    #[test]
+    fn stacked_parts_reject_mismatched_schemas() {
+        let other = Schema::builder().numeric("Z").build();
+        let mut odd = Relation::new(other);
+        odd.push_row(&[1.0], &[]).unwrap();
+        assert!(matches!(
+            ChunkedRelation::from_parts(vec![Arc::new(base(5)), Arc::new(odd)]),
+            Err(RelationError::SchemaMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn columnar_capability_tracks_the_base() {
+        /// A part that offers the columnar fast path or only the row
+        /// visitor.
+        struct Part {
+            rel: Relation,
+            columnar: bool,
+        }
+        impl TupleScan for Part {
             fn schema(&self) -> &Schema {
-                self.0.schema()
+                self.rel.schema()
             }
             fn len(&self) -> u64 {
-                self.0.len()
+                self.rel.len()
             }
             fn for_each_row_in(&self, range: Range<u64>, f: RowVisitor<'_>) -> Result<()> {
-                self.0.for_each_row_in(range, f)
+                self.rel.for_each_row_in(range, f)
+            }
+            fn as_columnar(&self) -> Option<&dyn ColumnarScan> {
+                self.rel.as_columnar().filter(|_| self.columnar)
             }
         }
-        let wrapped = ChunkedRelation::new(RowsOnly(base(3)));
-        assert!(wrapped.as_columnar().is_none());
+        let part = |columnar| {
+            Arc::new(Part {
+                rel: base(3),
+                columnar,
+            })
+        };
+
+        // In-memory base: columnar.
+        assert!(ChunkedRelation::new(base(3)).as_columnar().is_some());
+        // A base that only implements the row visitor: not columnar.
+        let rows_only = ChunkedRelation::from_parts(vec![part(false)]).unwrap();
+        assert!(rows_only.as_columnar().is_none());
+        // A stack is columnar only if every base part is, appended
+        // rows or not.
+        let all = ChunkedRelation::from_parts(vec![part(true), part(true)]).unwrap();
+        assert!(all.as_columnar().is_some());
+        let mixed = ChunkedRelation::from_parts(vec![part(true), part(false)]).unwrap();
+        assert!(mixed.as_columnar().is_none());
+        let mixed = mixed.append(&[frame(1.0, 2.0, true)]).unwrap();
+        assert!(mixed.as_columnar().is_none());
     }
 
     #[test]

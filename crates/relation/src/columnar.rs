@@ -19,9 +19,10 @@
 //! the in-memory [`Relation`](crate::memory::Relation) hands out its
 //! columns directly, the file-backed
 //! [`FileRelation`](crate::file::FileRelation) decodes fixed-width
-//! records into column buffers a few thousand rows at a time, and
-//! composite stores ([`ChunkedRelation`](crate::chunked::ChunkedRelation),
-//! the durable segment stack) forward per segment. Algorithms discover
+//! records into column buffers a few thousand rows at a time, and the
+//! composite [`ChunkedRelation`](crate::chunked::ChunkedRelation)
+//! (live generations, and the durable stack of base file, spilled
+//! segments and in-memory tail) forwards per part. Algorithms discover
 //! the capability at runtime and fall back to the row visitor when it
 //! is absent, so everything keeps working over generic storage.
 

@@ -14,7 +14,8 @@
 //!   a **checkpoint** spills the tail to a `seg-NNNNNN.rel` file
 //!   ([`spill`]), records it in the `MANIFEST`, and truncates the WAL —
 //!   so memory and log stay bounded no matter how long the process
-//!   appends;
+//!   appends. The checkpointed version holds the same rows with the
+//!   segment as one more base part of its `ChunkedRelation`;
 //! * [`DurableRelation::open`] ([`recovery`]) rebuilds the relation
 //!   from base + segments + WAL tail, tolerating a torn final frame,
 //!   and reports the generation to resume at.
@@ -56,7 +57,7 @@ pub(crate) mod wal;
 
 pub use recovery::Recovery;
 
-use spill::{write_manifest, BaseStack, Manifest};
+use spill::{write_manifest, Manifest};
 use wal::WalWriter;
 
 /// When the write-ahead log is fsync'd.
@@ -200,9 +201,10 @@ struct DurableStore {
     checkpoint: Histogram,
 }
 
-/// A crash-safe live relation: a [`ChunkedRelation`] over stacked file
-/// segments, with every append logged to a WAL before it is applied and
-/// the in-memory tail periodically spilled back to disk. See the
+/// A crash-safe live relation: a [`ChunkedRelation`] whose base parts
+/// are the base file and the spilled segment files, with every append
+/// logged to a WAL before it is applied and the in-memory tail
+/// periodically spilled back to disk as one more base part. See the
 /// [module docs](self) for the file layout and guarantees.
 ///
 /// Scans and random access behave exactly like the equivalent flat
@@ -212,7 +214,7 @@ struct DurableStore {
 /// guarantees this).
 #[derive(Debug)]
 pub struct DurableRelation {
-    inner: ChunkedRelation<BaseStack>,
+    inner: ChunkedRelation<FileRelation>,
     store: Arc<DurableStore>,
 }
 
@@ -249,7 +251,7 @@ impl DurableRelation {
         self.inner.appended_rows()
     }
 
-    fn from_parts(inner: ChunkedRelation<BaseStack>, store: Arc<DurableStore>) -> Self {
+    fn from_parts(inner: ChunkedRelation<FileRelation>, store: Arc<DurableStore>) -> Self {
         Self { inner, store }
     }
 
@@ -272,8 +274,7 @@ impl DurableRelation {
             state.next_segment_id += 1;
             state.segments.push(name);
             state.durable_rows = len;
-            let stack = self.inner.base().with_part(part);
-            Self::from_parts(ChunkedRelation::new(stack), Arc::clone(&self.store))
+            Self::from_parts(self.inner.with_tail_replaced(part), Arc::clone(&self.store))
         } else {
             self.clone()
         };

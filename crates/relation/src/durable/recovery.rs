@@ -8,15 +8,17 @@
 //! 2. validate the manifest against the files (base row count, schema
 //!    arity, segment row totals) — disagreement is corruption and an
 //!    error, never a silent truncation;
-//! 3. stack base + segments into one scannable store and replay the WAL
-//!    tail on top, tolerating a torn final frame and skipping frames a
-//!    checkpoint already covered (a crash can land between the manifest
-//!    rename and the WAL truncation);
+//! 3. stack base + segments as the base parts of one
+//!    [`ChunkedRelation`] (whose constructor rejects a segment with a
+//!    different schema) and replay the WAL tail on top as its
+//!    in-memory tail, tolerating a torn final frame and skipping frames
+//!    a checkpoint already covered (a crash can land between the
+//!    manifest rename and the WAL truncation);
 //! 4. resume the generation counter at `manifest.generation` plus one
 //!    per replayed frame — each logged append was exactly one engine
 //!    generation.
 
-use super::spill::{read_manifest, write_manifest, BaseStack, Manifest};
+use super::spill::{read_manifest, write_manifest, Manifest};
 use super::wal::{self, WalWriter, WAL_FILE};
 use super::{DurabilityConfig, DurableRelation, DurableStore, StoreState, WalSync};
 use crate::chunked::ChunkedRelation;
@@ -110,7 +112,7 @@ pub(crate) fn recover(base: &Path, dir: &Path, config: DurabilityConfig) -> Resu
         .max()
         .map_or(manifest.segments.len() as u64, |id| id + 1);
 
-    let mut inner = ChunkedRelation::new(BaseStack::new(parts)?);
+    let mut inner = ChunkedRelation::from_parts(parts)?;
 
     // Replay the WAL tail regardless of the *new* sync mode: a previous
     // run may have logged rows this run must not drop.

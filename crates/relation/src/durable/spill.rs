@@ -1,6 +1,8 @@
 //! Segment spill: writing frozen in-memory tail rows back to disk as
-//! relation files, and stacking the resulting file segments into one
-//! scannable base.
+//! relation files, and the `MANIFEST` that lists them. The segments are
+//! read back as base parts of a
+//! [`ChunkedRelation`](crate::chunked::ChunkedRelation), after the
+//! original base file.
 //!
 //! A checkpoint turns the in-memory tail of a
 //! [`ChunkedRelation`](crate::chunked::ChunkedRelation) into a
@@ -11,11 +13,10 @@
 //! the old state or the new state, never a half-written file that the
 //! next open would trust.
 
-use crate::columnar::{BlockVisitor, ColumnarScan, Projection};
 use crate::error::{RelationError, Result};
 use crate::file::{FileRelation, FileRelationWriter};
-use crate::scan::{fetch_by_part, RandomAccess, RowVisitor, TupleScan};
-use crate::schema::{NumAttr, Schema};
+use crate::scan::TupleScan;
+use crate::schema::Schema;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -23,146 +24,6 @@ use std::sync::Arc;
 /// File name of the manifest inside a data directory.
 pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "optrules-manifest v1";
-
-/// A read-only base made of stacked file segments: the original base
-/// relation followed by spilled segments, scanned in order as one
-/// relation. Always holds at least one part.
-#[derive(Debug)]
-pub(crate) struct BaseStack {
-    parts: Vec<Arc<FileRelation>>,
-    /// Global start row of each part (parallel to `parts`).
-    starts: Vec<u64>,
-    rows: u64,
-}
-
-impl BaseStack {
-    /// Stacks `parts` in order. Must be non-empty; every part must share
-    /// the first part's schema (the caller validates names; arity
-    /// mismatches would corrupt scans, so they are checked here).
-    pub fn new(parts: Vec<Arc<FileRelation>>) -> Result<Self> {
-        let first = parts.first().expect("BaseStack needs at least one part");
-        let schema = first.schema().clone();
-        let mut starts = Vec::with_capacity(parts.len());
-        let mut rows = 0u64;
-        for part in &parts {
-            if part.schema() != &schema {
-                return Err(RelationError::SchemaMismatch {
-                    expected: format!("{schema:?}"),
-                    got: format!("{:?} (segment {})", part.schema(), part.path().display()),
-                });
-            }
-            starts.push(rows);
-            rows += part.len();
-        }
-        Ok(Self {
-            parts,
-            starts,
-            rows,
-        })
-    }
-
-    /// A new stack with one more part appended.
-    pub fn with_part(&self, part: Arc<FileRelation>) -> Self {
-        let mut parts = self.parts.clone();
-        let mut starts = self.starts.clone();
-        starts.push(self.rows);
-        let rows = self.rows + part.len();
-        parts.push(part);
-        Self {
-            parts,
-            starts,
-            rows,
-        }
-    }
-}
-
-impl TupleScan for BaseStack {
-    fn schema(&self) -> &Schema {
-        self.parts[0].schema()
-    }
-
-    fn len(&self) -> u64 {
-        self.rows
-    }
-
-    fn for_each_row_in(&self, range: Range<u64>, f: RowVisitor<'_>) -> Result<()> {
-        let start = range.start;
-        let end = range.end.min(self.rows);
-        if start >= end {
-            return Ok(());
-        }
-        for (part, &part_start) in self.parts.iter().zip(&self.starts) {
-            if end <= part_start {
-                break;
-            }
-            let part_end = part_start + part.len();
-            if start >= part_end {
-                continue;
-            }
-            let lo = start.max(part_start) - part_start;
-            let hi = end.min(part_end) - part_start;
-            part.for_each_row_in(lo..hi, &mut |row, nums, bools| {
-                f(part_start + row, nums, bools);
-            })?;
-        }
-        Ok(())
-    }
-
-    fn as_columnar(&self) -> Option<&dyn ColumnarScan> {
-        Some(self)
-    }
-}
-
-impl ColumnarScan for BaseStack {
-    /// Forwards to each overlapping [`FileRelation`] part in row order,
-    /// rebasing part-local blocks into the stack's global row space.
-    fn for_each_block_projected(
-        &self,
-        range: Range<u64>,
-        cols: &Projection,
-        f: BlockVisitor<'_>,
-    ) -> Result<()> {
-        let start = range.start;
-        let end = range.end.min(self.rows);
-        if start >= end {
-            return Ok(());
-        }
-        for (part, &part_start) in self.parts.iter().zip(&self.starts) {
-            if end <= part_start {
-                break;
-            }
-            let part_end = part_start + part.len();
-            if start >= part_end {
-                continue;
-            }
-            let lo = start.max(part_start) - part_start;
-            let hi = end.min(part_end) - part_start;
-            part.for_each_block_projected(lo..hi, cols, &mut |block| {
-                f(&block.rebased(part_start + block.start));
-            })?;
-        }
-        Ok(())
-    }
-}
-
-impl RandomAccess for BaseStack {
-    fn numeric_at(&self, attr: NumAttr, row: u64) -> Result<f64> {
-        if row >= self.rows {
-            return Err(RelationError::RowOutOfBounds {
-                row,
-                len: self.rows,
-            });
-        }
-        let i = self.starts.partition_point(|&s| s <= row) - 1;
-        self.parts[i].numeric_at(attr, row - self.starts[i])
-    }
-
-    fn numeric_at_many(&self, attr: NumAttr, rows: &[u64], out: &mut [f64]) -> Result<()> {
-        fetch_by_part(&self.starts, self.rows, rows, out, |part, rows, out| {
-            self.parts[part].numeric_at_many(attr, rows, out)
-        })
-    }
-}
 
 /// The durable state a data directory records between runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -390,51 +251,6 @@ mod tests {
         assert_eq!(rows[0], (0, 10.0, false));
         assert_eq!(rows[19], (19, 29.0, false));
         assert!(!dir.join("seg-000000.rel.tmp").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn base_stack_scans_like_the_concatenation() {
-        let dir = tmp_dir("stack");
-        let a = spill_segment(&dir, "a.rel", &schema(), &mem(0..10), 0..10).unwrap();
-        let b = spill_segment(&dir, "b.rel", &schema(), &mem(10..25), 0..15).unwrap();
-        let stack = BaseStack::new(vec![a, b]).unwrap();
-        assert_eq!(stack.len(), 25);
-        let flat = mem(0..25);
-        let mut seen = Vec::new();
-        stack
-            .for_each_row(&mut |row, nums, bools| seen.push((row, nums.to_vec(), bools.to_vec())))
-            .unwrap();
-        let mut want = Vec::new();
-        flat.for_each_row(&mut |row, nums, bools| want.push((row, nums.to_vec(), bools.to_vec())))
-            .unwrap();
-        assert_eq!(seen, want);
-        // Partial range across the part boundary.
-        let mut xs = Vec::new();
-        stack
-            .for_each_row_in(8..12, &mut |row, nums, _| xs.push((row, nums[0])))
-            .unwrap();
-        assert_eq!(xs, vec![(8, 8.0), (9, 9.0), (10, 10.0), (11, 11.0)]);
-        // Random access spans parts; out of bounds errors.
-        for row in [0u64, 9, 10, 24] {
-            assert_eq!(stack.numeric_at(NumAttr(0), row).unwrap(), row as f64);
-        }
-        assert!(stack.numeric_at(NumAttr(0), 25).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn base_stack_rejects_mismatched_schemas() {
-        let dir = tmp_dir("mismatch");
-        let a = spill_segment(&dir, "a.rel", &schema(), &mem(0..5), 0..5).unwrap();
-        let other = Schema::builder().numeric("Z").build();
-        let mut rel = Relation::new(other.clone());
-        rel.push_row(&[1.0], &[]).unwrap();
-        let b = spill_segment(&dir, "b.rel", &other, &rel, 0..1).unwrap();
-        assert!(matches!(
-            BaseStack::new(vec![a, b]),
-            Err(RelationError::SchemaMismatch { .. })
-        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

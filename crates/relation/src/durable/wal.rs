@@ -193,6 +193,10 @@ pub(crate) struct WalWriter {
     /// harness widens on purpose. `None` in production.
     chunk: Option<usize>,
     buf: Vec<u8>,
+    /// Set when a failed append could not be rolled back: the log may
+    /// end in bytes that replay would stop at, so no later frame may be
+    /// acknowledged on top of them.
+    broken: bool,
 }
 
 impl WalWriter {
@@ -239,6 +243,7 @@ impl WalWriter {
             layout,
             chunk,
             buf: Vec::new(),
+            broken: false,
         })
     }
 
@@ -250,7 +255,17 @@ impl WalWriter {
     /// Appends one frame for `rows` starting at relation row
     /// `start_row`; when `sync`, fsyncs before returning so the caller
     /// may acknowledge the append.
+    ///
+    /// A failed write or fsync leaves the log exactly as long as before
+    /// the call (see [`discard_unacked`](Self::discard_unacked)), so the
+    /// caller's retry of the same rows lands where replay expects them.
     pub fn append(&mut self, start_row: u64, rows: &[RowFrame], sync: bool) -> Result<()> {
+        if self.broken {
+            return Err(std::io::Error::other(
+                "write-ahead log unusable: a failed append could not be rolled back",
+            )
+            .into());
+        }
         self.buf.clear();
         self.buf.extend_from_slice(&[0u8; FRAME_HEADER]);
         self.buf.extend_from_slice(&start_row.to_le_bytes());
@@ -264,6 +279,16 @@ impl WalWriter {
         let crc = crc32(&self.buf[FRAME_HEADER..]);
         self.buf[0..4].copy_from_slice(&payload_len.to_le_bytes());
         self.buf[4..8].copy_from_slice(&crc.to_le_bytes());
+        if let Err(e) = self.write_frame(sync) {
+            self.discard_unacked();
+            return Err(e.into());
+        }
+        self.bytes += self.buf.len() as u64;
+        Ok(())
+    }
+
+    /// Writes the encoded frame in `buf` at the end of the log.
+    fn write_frame(&mut self, sync: bool) -> std::io::Result<()> {
         match self.chunk {
             None => self.file.write_all(&self.buf)?,
             Some(n) => {
@@ -275,8 +300,21 @@ impl WalWriter {
         if sync {
             self.file.sync_data()?;
         }
-        self.bytes += self.buf.len() as u64;
         Ok(())
+    }
+
+    /// The error path of [`append`](Self::append): cuts the log back
+    /// to its last acknowledged frame, dropping the half frame a failed
+    /// write leaves or the whole frame a failed fsync leaves, and syncs
+    /// the cut so the unacknowledged frame cannot come back after a
+    /// crash. If the cut itself fails, the writer refuses every later
+    /// append.
+    fn discard_unacked(&mut self) {
+        let good = self.bytes;
+        let cut = (self.file.set_len(good))
+            .and_then(|()| self.file.seek(SeekFrom::Start(good)))
+            .and_then(|_| self.file.sync_data());
+        self.broken = cut.is_err();
     }
 
     /// Truncates the log back to its empty (header-only) state — called
@@ -470,6 +508,51 @@ mod tests {
         writer.append(4, &frame(2.0, 2), true).unwrap();
         let replayed = replay(&path, layout(), 4).unwrap();
         assert_eq!(replayed.frames, vec![frame(2.0, 2)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A failed append leaves (i) half a frame, as a failed write does,
+    /// or (ii) a whole frame never acknowledged, as a failed fsync
+    /// does. Its error path cuts either back, so the retry lands on
+    /// the last good length and replay returns every acknowledged frame
+    /// and nothing else.
+    #[test]
+    fn failed_append_is_rolled_back_before_the_next_one() {
+        let path = tmp("rollback");
+        let _ = std::fs::remove_file(&path);
+        let mut writer = WalWriter::open_with_chunk(&path, layout(), 0, None).unwrap();
+        writer.append(0, &frame(1.0, 2), true).unwrap();
+        let good = writer.bytes();
+        // The bytes a frame for rows 2..5 would put in the log.
+        let other = tmp("rollback-frame");
+        let unacked =
+            write_wal(&other, &[frame(0.0, 2), frame(7.0, 3)], None)[good as usize..].to_vec();
+        std::fs::remove_file(&other).unwrap();
+        for junk in [&unacked[..unacked.len() / 2], &unacked[..]] {
+            writer.file.write_all(junk).unwrap();
+            writer.discard_unacked();
+            assert!(!writer.broken);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), good);
+        }
+        writer.append(2, &frame(2.0, 3), true).unwrap();
+        let replayed = replay(&path, layout(), 0).unwrap();
+        assert_eq!(replayed.frames, vec![frame(1.0, 2), frame(2.0, 3)]);
+        assert_eq!(replayed.valid_len, writer.bytes());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn broken_writer_refuses_every_later_append() {
+        let path = tmp("broken");
+        let _ = std::fs::remove_file(&path);
+        let mut writer = WalWriter::open_with_chunk(&path, layout(), 0, None).unwrap();
+        writer.append(0, &frame(1.0, 2), true).unwrap();
+        writer.broken = true;
+        assert!(writer.append(2, &frame(2.0, 1), true).is_err());
+        assert_eq!(
+            replay(&path, layout(), 0).unwrap().frames,
+            vec![frame(1.0, 2)]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

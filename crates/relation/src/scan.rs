@@ -7,7 +7,7 @@
 //! [`crate::file::FileRelation`].
 
 use crate::columnar::ColumnarScan;
-use crate::error::{RelationError, Result};
+use crate::error::Result;
 use crate::schema::{NumAttr, Schema};
 use std::ops::Range;
 
@@ -107,57 +107,6 @@ pub trait RandomAccess: TupleScan {
         }
         Ok(())
     }
-}
-
-/// The batched fetch of a store made of consecutive parts: groups
-/// `rows` by the part they fall in (a stable counting sort, so each
-/// part sees its indices in request order), hands every part one
-/// `fetch(part, local rows, values)` call, and scatters the values back
-/// into request order. `starts[i]` is the global first row of part `i`
-/// (`starts[0] == 0`) and `len` the total row count.
-pub(crate) fn fetch_by_part(
-    starts: &[u64],
-    len: u64,
-    rows: &[u64],
-    out: &mut [f64],
-    mut fetch: impl FnMut(usize, &[u64], &mut [f64]) -> Result<()>,
-) -> Result<()> {
-    assert_eq!(rows.len(), out.len(), "one output slot per requested row");
-    if let Some(&row) = rows.iter().find(|&&row| row >= len) {
-        return Err(RelationError::RowOutOfBounds { row, len });
-    }
-    if starts.len() == 1 {
-        return fetch(0, rows, out);
-    }
-    let part_of = |row: u64| starts.partition_point(|&s| s <= row) - 1;
-    // offsets[p]..offsets[p + 1] is part p's run in the grouped order.
-    let mut offsets = vec![0usize; starts.len() + 1];
-    for &row in rows {
-        offsets[part_of(row) + 1] += 1;
-    }
-    for p in 0..starts.len() {
-        offsets[p + 1] += offsets[p];
-    }
-    let mut next = offsets.clone();
-    let mut local = vec![0u64; rows.len()];
-    let mut order = vec![0usize; rows.len()];
-    for (i, &row) in rows.iter().enumerate() {
-        let p = part_of(row);
-        local[next[p]] = row - starts[p];
-        order[next[p]] = i;
-        next[p] += 1;
-    }
-    let mut values = vec![0.0; rows.len()];
-    for p in 0..starts.len() {
-        let run = offsets[p]..offsets[p + 1];
-        if !run.is_empty() {
-            fetch(p, &local[run.clone()], &mut values[run])?;
-        }
-    }
-    for (&i, &v) in order.iter().zip(&values) {
-        out[i] = v;
-    }
-    Ok(())
 }
 
 // Shared references scan like the relation itself, so session objects

@@ -1,5 +1,7 @@
 //! Two storage equivalences, as properties over every layout — memory,
-//! file, chunked with tail segments, durable with spilled parts:
+//! file, chunked with tail segments, durable with spilled parts, and a
+//! durable relation reopened from its data dir (base file, spilled
+//! segments and a replayed WAL tail, stacked as recovery builds them):
 //!
 //! 1. the batched fetch is the per-index fetch:
 //!    `numeric_at_many(rows) == rows.map(numeric_at)` for unsorted
@@ -11,7 +13,7 @@
 
 use optrules_relation::columnar::{ColumnBlock, NO_ZONE};
 use optrules_relation::{
-    AppendRows, ChunkedRelation, DurabilityConfig, DurableRelation, FileRelation,
+    AppendRows, ChunkedRelation, Durability, DurabilityConfig, DurableRelation, FileRelation,
     FileRelationWriter, NumAttr, Projection, RandomAccess, Relation, RowFrame, Schema, TupleScan,
     WalSync,
 };
@@ -111,13 +113,14 @@ fn append_shrinking<R: AppendRows>(mut rel: R, from: u64, to: u64) -> (R, Vec<u6
     (rel, edges)
 }
 
-/// The four layouts over the same `total` rows, with the row indices
+/// The five layouts over the same `total` rows, with the row indices
 /// where one part of a layout ends and the next begins.
 struct Layouts {
     memory: Relation,
     file: FileRelation,
     chunked: ChunkedRelation<FileRelation>,
     durable: DurableRelation,
+    reopened: DurableRelation,
     edges: Vec<u64>,
     total: u64,
     _scratch: Scratch,
@@ -138,15 +141,53 @@ fn layouts(tail_rows: u64, spill_rows: u64) -> Layouts {
         .relation;
     let (durable, more) = append_shrinking(durable, BASE_ROWS, total);
     edges.extend(more);
+    let (reopened, more) = reopened(&scratch.0, total, spill_rows);
+    edges.extend(more);
     Layouts {
         memory: memory(total),
         file: flat,
         chunked,
         durable,
+        reopened,
         edges,
         total,
         _scratch: scratch,
     }
+}
+
+/// Rows `0..total` as recovery reassembles them: a base file of half
+/// the base rows, three spilled segments of `seg_rows`, `2 * seg_rows`
+/// and `3 * seg_rows` rows, and the rest logged to an fsync'd WAL in
+/// shrinking frames — then the data dir is reopened. Returns the
+/// recovered relation and its part edges.
+fn reopened(dir: &Path, total: u64, seg_rows: u64) -> (DurableRelation, Vec<u64>) {
+    let from = BASE_ROWS / 2;
+    let base = dir.join("half.rel");
+    file(&base, from);
+    let data = dir.join("reopened");
+    let config = DurabilityConfig {
+        spill_rows: u64::MAX,
+        sync: WalSync::Always,
+    };
+    let mut rel = DurableRelation::open(&base, &data, config)
+        .unwrap()
+        .relation;
+    let mut edges = vec![from];
+    let mut at = from;
+    for k in 1..=3 {
+        rel = rel.with_rows(&frames(at..at + k * seg_rows)).unwrap();
+        rel = rel.checkpointed().unwrap().expect("a tail to spill");
+        at += k * seg_rows;
+        edges.push(at);
+    }
+    let (rel, more) = append_shrinking(rel, at, total);
+    assert_eq!(rel.durability_stats().unwrap().segments_spilled, 3);
+    drop(rel);
+    edges.extend(more);
+    let recovery = DurableRelation::open(&base, &data, config).unwrap();
+    assert_eq!(recovery.relation.len(), total);
+    assert!(recovery.replayed_frames > 0, "the WAL tail is replayed");
+    (recovery.relation, edges)
 }
 
 impl Layouts {
@@ -155,6 +196,7 @@ impl Layouts {
         f("file", &self.file);
         f("chunked", &self.chunked);
         f("durable", &self.durable);
+        f("reopened", &self.reopened);
     }
 }
 
