@@ -611,3 +611,43 @@ fn batch_data_dir_persists_appends_across_runs() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::remove_file(&path).unwrap();
 }
+
+/// The mining subcommands' stdout, byte for byte. Each case in
+/// `tests/data/cli_mining_expected.txt` is a `$ optrules …` line —
+/// `{bank}` is the standard bank relation (20k rows, gen seed 3) and
+/// `{retail}` a 30k-row retail relation at the default gen seed —
+/// followed by exactly what that command prints: `mine` (text and
+/// json, with and without `--given`), `avg` (text and json) and
+/// `mine-all` (text).
+#[test]
+fn mining_output_matches_golden_transcript() {
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/cli_mining_expected.txt");
+    let expected = std::fs::read_to_string(golden).unwrap();
+    let bank = tmp("golden-bank");
+    let retail = tmp("golden-retail");
+    let (bank_s, retail_s) = (bank.to_str().unwrap(), retail.to_str().unwrap());
+    run_ok(&["gen", "bank", bank_s, "--rows", "20000", "--seed", "3"]);
+    run_ok(&["gen", "retail", retail_s, "--rows", "30000"]);
+
+    let mut transcript = String::new();
+    for line in expected.lines() {
+        let Some(command) = line.strip_prefix("$ optrules ") else {
+            continue;
+        };
+        let args: Vec<&str> = command
+            .split(' ')
+            .map(|arg| match arg {
+                "{bank}" => bank_s,
+                "{retail}" => retail_s,
+                other => other,
+            })
+            .collect();
+        transcript.push_str(line);
+        transcript.push('\n');
+        transcript.push_str(&run_ok(&args));
+    }
+    assert_eq!(transcript, expected);
+    std::fs::remove_file(&bank).unwrap();
+    std::fs::remove_file(&retail).unwrap();
+}
