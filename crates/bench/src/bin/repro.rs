@@ -33,7 +33,7 @@ use optrules_core::kadane::max_gain_range;
 use optrules_core::naive::{optimize_confidence_naive, optimize_support_naive};
 use optrules_core::twopointer::optimize_confidence_sweep;
 use optrules_core::{
-    approx, optimize_confidence, optimize_support, EngineConfig, Ratio, SharedEngine,
+    approx, optimize_confidence, optimize_support, EngineConfig, QuerySpec, Ratio, SharedEngine,
 };
 use optrules_relation::gen::{
     BankGenerator, DataGenerator, PlantedRangeGenerator, UniformWorkload,
@@ -504,8 +504,9 @@ fn allpairs(full: bool) {
         },
     );
     let (pairs, took) = time_once(|| {
-        engine
-            .queries_for_all_pairs()
+        QuerySpec::all_pairs(engine.schema())
+            .iter()
+            .map(|spec| engine.run_spec(spec))
             .collect::<Result<Vec<_>, _>>()
             .expect("mining succeeds")
     });

@@ -28,9 +28,6 @@ pub enum CoreError {
     /// A request asked for more resources than one request may claim
     /// (see the `MAX_*` limits in [`crate::json`]).
     BadRequest(String),
-    /// A query was run without an objective (set one with
-    /// `Query::objective`, `Query::objective_is`, or `Query::average_of`).
-    MissingObjective,
 }
 
 impl fmt::Display for CoreError {
@@ -46,9 +43,6 @@ impl fmt::Display for CoreError {
             }
             Self::BadThreshold(msg) => write!(f, "bad threshold: {msg}"),
             Self::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            Self::MissingObjective => {
-                write!(f, "query has no objective; set one before running it")
-            }
         }
     }
 }

@@ -34,8 +34,8 @@
 //! * [`shared`], [`exec`], [`cache`], [`query`] — end-to-end mining
 //!   sessions: a long-lived [`SharedEngine`] (`&self`, `Send + Sync`,
 //!   serves concurrent query traffic) owning the relation, queried
-//!   through the fluent [`query::Query`] builder (the paper's "hundreds
-//!   of attributes" interactive scenario, §1.3). Execution is **one
+//!   with [`spec::QuerySpec`]s (the paper's "hundreds of attributes"
+//!   interactive scenario, §1.3). Execution is **one
 //!   [`exec::Executor`] with two sources**: the executor owns the
 //!   bounded, sharded, cost-aware bucketization/scan cache,
 //!   singleflight, plan fan-out and rule assembly, and reaches the rows
@@ -89,7 +89,7 @@ pub use confidence::optimize_confidence;
 pub use error::CoreError;
 pub use exec::{CountSource, EngineStats, Executor};
 pub use plan::Plan;
-pub use query::{AvgRule, Objective, Query, Rule, RuleSet, Task};
+pub use query::{AvgRule, Rule, RuleSet, Task};
 pub use ratio::Ratio;
 pub use region2d::GridCounts;
 pub use rule::{OptRange, RangeRule, RectRule, RuleKind};

@@ -1,35 +1,25 @@
-//! Fluent queries against a [`SharedEngine`] and their [`RuleSet`]
-//! results.
+//! What a query returns: the [`RuleSet`] of one
+//! [`QuerySpec`](crate::spec::QuerySpec), and the [`Task`] that picks
+//! its optimizations.
 //!
-//! A [`Query`] describes one optimized-range question in the paper's
-//! vocabulary and unifies its three forms:
+//! A spec states one optimized-range question in the paper's
+//! vocabulary, in one of three forms:
 //!
 //! * **boolean objective** — `(A ∈ I) ⇒ C2` (Sections 2–4):
-//!   [`Query::objective`] / [`Query::objective_is`];
+//!   [`QuerySpec::boolean`](crate::spec::QuerySpec::boolean);
 //! * **generalized rules** — `(A ∈ I) ∧ C1 ⇒ C2` (§4.3): add
-//!   [`Query::given`];
+//!   [`QuerySpec::given`](crate::spec::QuerySpec::given);
 //! * **average operator** — `avg(B)` over ranges of `A` (Section 5):
-//!   [`Query::average_of`].
+//!   [`QuerySpec::average`](crate::spec::QuerySpec::average).
 //!
-//! A [`Task`] picks which optimization(s) to run, and every terminal
-//! method returns the same [`RuleSet`] type. For boolean objectives
-//! the two optimizations are the paper's optimized-support and
+//! A [`Task`] picks which optimization(s) to run, and every form
+//! returns the same [`RuleSet`] type. For boolean objectives the two
+//! optimizations are the paper's optimized-support and
 //! optimized-confidence rules; for the average operator they are the
 //! maximum-support and maximum-average ranges — the same
 //! maximize-A-subject-to-B duality, so they share the [`Task`] names.
-//!
-//! The builder is a thin front over the declarative layer: it collects
-//! a plain-data [`QuerySpec`] (extractable with [`Query::spec`] for
-//! batching or the JSON protocol), and its terminal methods hand that
-//! spec to [`SharedEngine::run_spec`] — so a fluent query and its spec
-//! run through exactly the same resolve → count → assemble path.
 
-use crate::error::{CoreError, Result};
-use crate::ratio::Ratio;
 use crate::rule::{RangeRule, RectRule, RuleKind};
-use crate::shared::SharedEngine;
-use crate::spec::{CondSpec, ObjectiveSpec, QuerySpec, Real};
-use optrules_relation::{BoolAttr, Condition, NumAttr, RandomAccess};
 
 /// Which optimization(s) a query runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -45,20 +35,6 @@ pub enum Task {
     /// Run both optimizations (the default).
     #[default]
     Both,
-}
-
-/// A query's objective, resolved against the schema when it runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Objective {
-    /// A Boolean condition `C2`: the rule is `(A ∈ I) [∧ C1] ⇒ C2`.
-    Condition(Condition),
-    /// A Boolean attribute name, sugar for `(name = yes)`.
-    ConditionName(String),
-    /// Section 5: optimize ranges of the queried attribute by the
-    /// average of this numeric target attribute.
-    Average(NumAttr),
-    /// Like [`Objective::Average`], by attribute name.
-    AverageName(String),
 }
 
 /// One mined rule: a range rule (boolean objective) or an average rule
@@ -272,333 +248,14 @@ impl RuleSet {
     }
 }
 
-/// A fluent query builder; construct with [`SharedEngine::query`] or
-/// [`SharedEngine::query_attr`], configure,
-/// then finish with [`Query::run`], [`Query::optimize_support`],
-/// [`Query::optimize_confidence`], or [`Query::with_task`].
-///
-/// Thresholds and bucketing parameters default to the engine's
-/// [`EngineConfig`](crate::EngineConfig); each can be
-/// overridden per query. Overriding bucketing parameters keys separate
-/// cache entries, so alternating queries at two bucket counts still hit
-/// the cache.
-///
-/// The builder borrows the session immutably, so any number of
-/// queries can be built and run concurrently against one
-/// [`SharedEngine`].
-pub struct Query<'e, R: RandomAccess> {
-    engine: &'e SharedEngine<R>,
-    attr: String,
-    attr2: Option<String>,
-    given: Vec<CondSpec>,
-    objective: Option<ObjectiveSpec>,
-    min_support: Option<Ratio>,
-    min_confidence: Option<Ratio>,
-    min_average: Option<f64>,
-    buckets: Option<usize>,
-    samples_per_bucket: Option<u64>,
-    seed: Option<u64>,
-    threads: Option<usize>,
-    scan_all_booleans: bool,
-}
-
-impl<'e, R: RandomAccess> Query<'e, R> {
-    pub(crate) fn by_name(engine: &'e SharedEngine<R>, name: String) -> Self {
-        Self::new(engine, name)
-    }
-
-    pub(crate) fn by_attr(engine: &'e SharedEngine<R>, attr: NumAttr) -> Self {
-        let name = engine.schema().numeric_name(attr).to_string();
-        Self::new(engine, name)
-    }
-
-    fn new(engine: &'e SharedEngine<R>, attr: String) -> Self {
-        Self {
-            engine,
-            attr,
-            attr2: None,
-            given: Vec::new(),
-            objective: None,
-            min_support: None,
-            min_confidence: None,
-            min_average: None,
-            buckets: None,
-            samples_per_bucket: None,
-            seed: None,
-            threads: None,
-            scan_all_booleans: true,
-        }
-    }
-
-    /// Pairs a second numeric attribute with the queried one, turning
-    /// the query into the §1.4 two-attribute **rectangle** form
-    /// `((A1, A2) ∈ X) ⇒ C2` over an equi-depth grid. Only
-    /// Boolean/conjunction objectives are valid (not
-    /// [`Query::average_of`]); the per-axis bucket count comes from
-    /// [`Query::buckets`] when set, else the integer square root of
-    /// the engine's default bucket count.
-    pub fn and_attr(mut self, attr2: impl Into<String>) -> Self {
-        self.attr2 = Some(attr2.into());
-        self
-    }
-
-    /// Adds a presumptive condition `C1` (§4.3): the rule becomes
-    /// `(A ∈ I) ∧ C1 ⇒ C2` and support counts only tuples meeting `C1`
-    /// (measured against the full row count). Multiple calls conjoin.
-    /// With [`Query::average_of`], the average is likewise taken over
-    /// tuples meeting `C1` only.
-    pub fn given(mut self, condition: Condition) -> Self {
-        self.given
-            .extend(CondSpec::from_condition(&condition, self.engine.schema()));
-        self
-    }
-
-    /// Sets the objective condition `C2`.
-    pub fn objective(mut self, condition: Condition) -> Self {
-        self.objective = Some(ObjectiveSpec::Cond {
-            all: CondSpec::from_condition(&condition, self.engine.schema()),
-        });
-        self
-    }
-
-    /// Sets the objective to `(name = yes)` for a Boolean attribute —
-    /// the common case, resolved when the query runs.
-    pub fn objective_is(mut self, name: impl Into<String>) -> Self {
-        self.objective = Some(ObjectiveSpec::Bool {
-            target: name.into(),
-        });
-        self
-    }
-
-    /// Switches the query to the Section 5 average operator: optimize
-    /// ranges of the queried attribute by `avg(target)`.
-    pub fn average_of(mut self, target: impl Into<String>) -> Self {
-        self.objective = Some(ObjectiveSpec::Average {
-            target: target.into(),
-        });
-        self
-    }
-
-    /// Like [`Query::average_of`], by attribute handle.
-    pub fn average_of_attr(self, target: NumAttr) -> Self {
-        let name = self.engine.schema().numeric_name(target).to_string();
-        self.average_of(name)
-    }
-
-    /// Sets a fully formed [`Objective`].
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = Some(match objective {
-            Objective::Condition(cond) => ObjectiveSpec::Cond {
-                all: CondSpec::from_condition(&cond, self.engine.schema()),
-            },
-            Objective::ConditionName(target) => ObjectiveSpec::Bool { target },
-            Objective::Average(attr) => ObjectiveSpec::Average {
-                target: self.engine.schema().numeric_name(attr).to_string(),
-            },
-            Objective::AverageName(target) => ObjectiveSpec::Average { target },
-        });
-        self
-    }
-
-    /// Minimum support for the optimized-confidence rule (or the §5
-    /// maximum-average range).
-    pub fn min_support(mut self, ratio: Ratio) -> Self {
-        self.min_support = Some(ratio);
-        self
-    }
-
-    /// [`Query::min_support`] as a whole-number percentage.
-    pub fn min_support_pct(self, pct: u64) -> Self {
-        self.min_support(Ratio::percent(pct))
-    }
-
-    /// Minimum confidence for the optimized-support rule.
-    pub fn min_confidence(mut self, ratio: Ratio) -> Self {
-        self.min_confidence = Some(ratio);
-        self
-    }
-
-    /// [`Query::min_confidence`] as a whole-number percentage. Only
-    /// valid for boolean-objective queries; setting it together with
-    /// [`Query::average_of`] is an error at run time.
-    pub fn min_confidence_pct(self, pct: u64) -> Self {
-        self.min_confidence(Ratio::percent(pct))
-    }
-
-    /// Minimum target average for the §5 maximum-support range
-    /// (default 0.0). Only valid with [`Query::average_of`]; setting it
-    /// on a boolean-objective query is an error at run time.
-    pub fn min_average(mut self, threshold: f64) -> Self {
-        self.min_average = Some(threshold);
-        self
-    }
-
-    /// Overrides the bucket count `M` for this query.
-    pub fn buckets(mut self, buckets: usize) -> Self {
-        self.buckets = Some(buckets);
-        self
-    }
-
-    /// Overrides the samples-per-bucket of Algorithm 3.1 for this query.
-    pub fn samples_per_bucket(mut self, samples: u64) -> Self {
-        self.samples_per_bucket = Some(samples);
-        self
-    }
-
-    /// Overrides the sampling seed for this query.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Overrides the counting-scan worker count for this query.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Whether a simple boolean query's scan counts **every** Boolean
-    /// attribute (default `true`), so later queries on the same numeric
-    /// attribute hit the cache with no rescan — the §6.1 all-pairs
-    /// trick. Pass `false` for one-shot use (a throwaway engine, or a
-    /// relation with very many Boolean attributes none of which will be
-    /// queried again): the scan then evaluates only this objective.
-    pub fn scan_all_booleans(mut self, share: bool) -> Self {
-        self.scan_all_booleans = share;
-        self
-    }
-
-    /// Runs both optimizations ([`Task::Both`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown attribute names, a missing objective, or
-    /// bucketing/storage errors.
-    pub fn run(self) -> Result<RuleSet> {
-        self.with_task(Task::Both)
-    }
-
-    /// Runs only the support-maximizing optimization.
-    ///
-    /// # Errors
-    ///
-    /// See [`Query::run`].
-    pub fn optimize_support(self) -> Result<RuleSet> {
-        self.with_task(Task::OptimizeSupport)
-    }
-
-    /// Runs only the quality-maximizing optimization.
-    ///
-    /// # Errors
-    ///
-    /// See [`Query::run`].
-    pub fn optimize_confidence(self) -> Result<RuleSet> {
-        self.with_task(Task::OptimizeConfidence)
-    }
-
-    /// Finishes building and returns the plain-data [`QuerySpec`]
-    /// without running it — for batching
-    /// ([`SharedEngine::run_batch`]), storing, or serializing through
-    /// the JSON protocol ([`crate::json`]). Running the returned spec
-    /// with [`SharedEngine::run_spec`] is identical to calling
-    /// [`Query::run`] here.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no objective was set. Names stay unresolved — an
-    /// unknown attribute surfaces when the spec runs.
-    pub fn spec(self) -> Result<QuerySpec> {
-        let Some(objective) = self.objective else {
-            return Err(CoreError::MissingObjective);
-        };
-        Ok(QuerySpec {
-            attr: self.attr,
-            attr2: self.attr2,
-            given: self.given,
-            objective,
-            task: Task::Both,
-            min_support: self.min_support,
-            min_confidence: self.min_confidence,
-            min_average: self.min_average.map(Real),
-            buckets: self.buckets,
-            samples_per_bucket: self.samples_per_bucket,
-            seed: self.seed,
-            threads: self.threads,
-            scan_all_booleans: self.scan_all_booleans,
-        })
-    }
-
-    /// Runs the query with an explicit [`Task`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Query::run`].
-    pub fn with_task(self, task: Task) -> Result<RuleSet> {
-        let engine = self.engine;
-        let mut spec = self.spec()?;
-        spec.task = task;
-        engine.run_spec(&spec)
-    }
-}
-
-/// Lazy §1.3 sweep over every (numeric, Boolean) attribute pair;
-/// created by [`SharedEngine::queries_for_all_pairs`]. Yields one
-/// [`RuleSet`] per pair, numeric-major, streaming — advancing the
-/// iterator runs at most one counting scan (the first pair of each
-/// numeric attribute; the rest hit the scan cache). For the eager
-/// multi-threaded sweep, see
-/// [`SharedEngine::mine_all_pairs`].
-pub struct AllPairs<'e, R: RandomAccess> {
-    engine: &'e SharedEngine<R>,
-    numeric: Vec<NumAttr>,
-    booleans: Vec<BoolAttr>,
-    next_index: usize,
-}
-
-impl<'e, R: RandomAccess> AllPairs<'e, R> {
-    pub(crate) fn new(engine: &'e SharedEngine<R>) -> Self {
-        let schema = engine.schema();
-        let numeric = schema.numeric_attrs().collect();
-        let booleans = schema.boolean_attrs().collect();
-        Self {
-            engine,
-            numeric,
-            booleans,
-            next_index: 0,
-        }
-    }
-}
-
-impl<R: RandomAccess> Iterator for AllPairs<'_, R> {
-    type Item = Result<RuleSet>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.booleans.is_empty() || self.next_index >= self.numeric.len() * self.booleans.len() {
-            return None;
-        }
-        let attr = self.numeric[self.next_index / self.booleans.len()];
-        let battr = self.booleans[self.next_index % self.booleans.len()];
-        self.next_index += 1;
-        Some(
-            self.engine
-                .query_attr(attr)
-                .objective(Condition::BoolIs(battr, true))
-                .run(),
-        )
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.numeric.len() * self.booleans.len() - self.next_index;
-        (remaining, Some(remaining))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::EngineConfig;
+    use crate::ratio::Ratio;
+    use crate::shared::{EngineConfig, SharedEngine};
+    use crate::spec::{CondSpec, QuerySpec};
     use optrules_relation::gen::{BankGenerator, DataGenerator, RetailGenerator};
-    use optrules_relation::TupleScan;
+    use optrules_relation::{Condition, TupleScan};
 
     #[test]
     fn generalized_rule_needs_conjunct() {
@@ -617,10 +274,11 @@ mod tests {
         let pizza = Condition::BoolIs(schema.boolean("Pizza").unwrap(), true);
 
         let with = engine
-            .query("Amount")
-            .given(pizza)
-            .objective_is("Potato")
-            .optimize_support()
+            .run_spec(
+                &QuerySpec::boolean("Amount", "Potato")
+                    .given(CondSpec::from_condition(&pizza, &schema))
+                    .task(Task::OptimizeSupport),
+            )
             .unwrap();
         let rule = with.optimized_support().expect("band is 65 %-confident");
         assert!(rule.value_range.0 > 20.0 && rule.value_range.0 < 40.0);
@@ -636,9 +294,7 @@ mod tests {
         );
 
         let without = engine
-            .query("Amount")
-            .objective_is("Potato")
-            .optimize_support()
+            .run_spec(&QuerySpec::boolean("Amount", "Potato").task(Task::OptimizeSupport))
             .unwrap();
         assert!(without.optimized_support().is_none());
     }
@@ -656,10 +312,7 @@ mod tests {
             },
         );
         let rules = engine
-            .query("CheckingAccount")
-            .average_of("SavingAccount")
-            .min_average(14_000.0)
-            .run()
+            .run_spec(&QuerySpec::average("CheckingAccount", "SavingAccount").min_average(14_000.0))
             .unwrap();
         assert_eq!(rules.objective_desc, "avg(SavingAccount)");
         let avg = rules.max_average().expect("ample range exists");
@@ -686,24 +339,17 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let both = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
-            .unwrap();
+        let spec = QuerySpec::boolean("Balance", "CardLoan");
+        let both = engine.run_spec(&spec).unwrap();
         assert!(both.optimized_support().is_some());
         assert!(both.optimized_confidence().is_some());
         let sup_only = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .optimize_support()
+            .run_spec(&spec.clone().task(Task::OptimizeSupport))
             .unwrap();
         assert!(sup_only.optimized_support().is_some());
         assert!(sup_only.optimized_confidence().is_none());
         let conf_only = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .optimize_confidence()
+            .run_spec(&spec.task(Task::OptimizeConfidence))
             .unwrap();
         assert!(conf_only.optimized_support().is_none());
         assert!(conf_only.optimized_confidence().is_some());
@@ -724,15 +370,13 @@ mod tests {
             },
         );
         let seq = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         let par = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .threads(4)
-            .run()
+            .run_spec(&QuerySpec {
+                threads: Some(4),
+                ..QuerySpec::boolean("Balance", "CardLoan")
+            })
             .unwrap();
         assert_eq!(seq, par);
         // The thread count is part of the scan key (float sums depend
@@ -753,26 +397,17 @@ mod tests {
             },
         );
         let err = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .min_average(5_000.0)
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan").min_average(5_000.0))
             .unwrap_err();
         assert!(err.to_string().contains("min_average"), "{err}");
+        let avg = QuerySpec::average("CheckingAccount", "SavingAccount");
         let err = engine
-            .query("CheckingAccount")
-            .average_of("SavingAccount")
-            .min_confidence_pct(90)
-            .run()
+            .run_spec(&avg.clone().min_confidence_pct(90))
             .unwrap_err();
         assert!(err.to_string().contains("min_confidence"), "{err}");
         // The valid combinations still work.
         assert!(engine
-            .query("CheckingAccount")
-            .average_of("SavingAccount")
-            .min_support_pct(5)
-            .min_average(1_000.0)
-            .run()
+            .run_spec(&avg.min_support_pct(5).min_average(1_000.0))
             .is_ok());
     }
 
@@ -790,17 +425,11 @@ mod tests {
         );
         let schema = engine.relation().schema().clone();
         let loan = Condition::BoolIs(schema.boolean("CardLoan").unwrap(), true);
+        let avg = QuerySpec::average("CheckingAccount", "SavingAccount");
 
-        let unfiltered = engine
-            .query("CheckingAccount")
-            .average_of("SavingAccount")
-            .run()
-            .unwrap();
+        let unfiltered = engine.run_spec(&avg).unwrap();
         let filtered = engine
-            .query("CheckingAccount")
-            .given(loan.clone())
-            .average_of("SavingAccount")
-            .run()
+            .run_spec(&avg.clone().given(CondSpec::from_condition(&loan, &schema)))
             .unwrap();
         assert_eq!(
             filtered.objective_desc, "avg(SavingAccount) | (CardLoan = yes)",
@@ -820,15 +449,9 @@ mod tests {
 
         // An unsatisfiable presumptive condition leaves nothing to
         // count: no buckets survive compaction and no rules exist.
+        let never = Condition::NumInRange(schema.numeric("Balance").unwrap(), 1.0, 0.0);
         let empty = engine
-            .query("CheckingAccount")
-            .given(Condition::NumInRange(
-                schema.numeric("Balance").unwrap(),
-                1.0,
-                0.0,
-            ))
-            .average_of("SavingAccount")
-            .run()
+            .run_spec(&avg.given(CondSpec::from_condition(&never, &schema)))
             .unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.buckets_used, 0);
@@ -846,15 +469,13 @@ mod tests {
             },
         );
         let shared = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         let narrow = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .scan_all_booleans(false)
-            .run()
+            .run_spec(&QuerySpec {
+                scan_all_booleans: false,
+                ..QuerySpec::boolean("Balance", "CardLoan")
+            })
             .unwrap();
         // Same math, different scan shape: answers must be identical.
         assert_eq!(shared, narrow);
@@ -872,12 +493,12 @@ mod tests {
         let pizza = Condition::BoolIs(schema.boolean("Pizza").unwrap(), true);
         let coke = Condition::BoolIs(schema.boolean("Coke").unwrap(), true);
         let rs = engine
-            .query("Amount")
-            .given(pizza)
-            .given(coke)
-            .objective_is("Potato")
-            .buckets(20)
-            .run()
+            .run_spec(
+                &QuerySpec::boolean("Amount", "Potato")
+                    .given(CondSpec::from_condition(&pizza, &schema))
+                    .given(CondSpec::from_condition(&coke, &schema))
+                    .buckets(20),
+            )
             .unwrap();
         assert!(rs.objective_desc.contains("Pizza"), "{}", rs.objective_desc);
         assert!(rs.objective_desc.contains("Coke"), "{}", rs.objective_desc);

@@ -23,8 +23,8 @@ pub enum SortBy {
 }
 
 /// Renders the [`RuleSet`]s of a
-/// [`SharedEngine::queries_for_all_pairs`](crate::SharedEngine::queries_for_all_pairs)
-/// sweep as an aligned table. Pairs with no rule at all are summarized
+/// [`QuerySpec::all_pairs`](crate::QuerySpec::all_pairs) sweep as an
+/// aligned table. Pairs with no rule at all are summarized
 /// in a trailing count instead of emitting empty rows.
 ///
 /// # Examples

@@ -67,7 +67,7 @@
 //!   around appends.
 //!
 //! ```
-//! use optrules_core::{EngineConfig, SharedEngine};
+//! use optrules_core::{EngineConfig, QuerySpec, SharedEngine};
 //! use optrules_relation::gen::{BankGenerator, DataGenerator};
 //!
 //! let rel = BankGenerator::default().to_relation(5_000, 3);
@@ -77,16 +77,12 @@
 //! );
 //! // Prime the cache once, then fan out over scoped threads — every
 //! // worker is served warm, and queries take &self.
-//! engine.query("Balance").objective_is("CardLoan").run().unwrap();
+//! engine.run_spec(&QuerySpec::boolean("Balance", "CardLoan")).unwrap();
 //! std::thread::scope(|scope| {
 //!     let engine = &engine;
 //!     for target in ["CardLoan", "AutoWithdraw"] {
 //!         scope.spawn(move || {
-//!             let rules = engine
-//!                 .query("Balance")
-//!                 .objective_is(target)
-//!                 .run()
-//!                 .unwrap();
+//!             let rules = engine.run_spec(&QuerySpec::boolean("Balance", target)).unwrap();
 //!             assert!(!rules.attr_name.is_empty());
 //!         });
 //!     }
@@ -100,7 +96,7 @@ use crate::cache::{CacheConfig, ShardStats};
 use crate::error::{CoreError, Result};
 use crate::exec::{CountSource, EngineStats, Executor};
 use crate::plan::{self, Plan};
-use crate::query::{AllPairs, Query, RuleSet};
+use crate::query::RuleSet;
 use crate::ratio::Ratio;
 use crate::region2d::GridCounts;
 use crate::spec::QuerySpec;
@@ -118,8 +114,7 @@ use optrules_relation::{
 };
 
 /// Session-wide defaults for a [`SharedEngine`] (or a coordinator).
-/// Every knob can be overridden per query by the
-/// [`Query`] builder or a [`QuerySpec`] field.
+/// Every knob can be overridden per query by a [`QuerySpec`] field.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Bucket count `M` per numeric attribute (paper: up to thousands).
@@ -750,56 +745,25 @@ impl<R: RandomAccess> SharedEngine<R> {
         self.obs.fallback_scan.reset();
     }
 
-    /// Starts a fluent query over the numeric attribute named `attr`.
-    /// The name is resolved when the query runs, so typos surface as
-    /// errors from the terminal method, not panics here.
-    pub fn query(&self, attr: impl Into<String>) -> Query<'_, R> {
-        Query::by_name(self, attr.into())
-    }
-
-    /// Starts a fluent query over a numeric attribute handle.
-    pub fn query_attr(&self, attr: NumAttr) -> Query<'_, R> {
-        Query::by_attr(self, attr)
-    }
-
-    /// Lazily mines both optimized rules for **every**
-    /// (numeric attribute, Boolean attribute = yes) combination — the
-    /// §1.3 "all combinations" sweep, ordered numeric-major. See
-    /// [`mine_all_pairs`](Self::mine_all_pairs) for the multi-threaded
-    /// eager variant.
-    pub fn queries_for_all_pairs(&self) -> AllPairs<'_, R> {
-        AllPairs::new(self)
-    }
-
-    /// Mines the full §1.3 sweep fanned out over `threads` scoped
-    /// worker threads pulling pairs from a shared work queue. Results
-    /// are returned in the same deterministic numeric-major order as
-    /// [`queries_for_all_pairs`](Self::queries_for_all_pairs)
-    /// regardless of `threads` — and, because each query is
-    /// deterministic and cache effects are invisible, the `RuleSet`s
-    /// themselves are identical to a sequential run.
+    /// Mines the full §1.3 sweep ([`QuerySpec::all_pairs`]) as one
+    /// batch fanned out over `threads` scoped worker threads. Results
+    /// come back in the specs' numeric-major order regardless of
+    /// `threads` — and, because each query is deterministic and cache
+    /// effects are invisible, the `RuleSet`s themselves are identical
+    /// to running the specs one by one.
     ///
     /// # Errors
     ///
     /// Returns the first error in pair order, if any query fails.
     pub fn mine_all_pairs(&self, threads: usize) -> Result<Vec<RuleSet>> {
-        let schema = self.schema();
-        let specs: Vec<QuerySpec> = schema
-            .numeric_attrs()
-            .flat_map(|a| {
-                schema.boolean_attrs().map(move |b| {
-                    QuerySpec::boolean(schema.numeric_name(a), schema.boolean_name(b))
-                })
-            })
-            .collect();
-        self.run_batch(&specs, threads).into_iter().collect()
+        self.run_batch(&QuerySpec::all_pairs(self.schema()), threads)
+            .into_iter()
+            .collect()
     }
 
-    /// Runs one declarative [`QuerySpec`] — the spec-level equivalent
-    /// of the fluent [`query`](Self::query) builder (which produces
-    /// specs internally), sharing the same caches and producing
-    /// identical `RuleSet`s. Pins the current generation for the whole
-    /// run: a concurrent append cannot change what this query scans.
+    /// Runs one [`QuerySpec`]. Pins the current generation for the
+    /// whole run: a concurrent append cannot change what this query
+    /// scans.
     ///
     /// # Errors
     ///
@@ -886,7 +850,9 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for target in ["CardLoan", "AutoWithdraw", "OnlineBanking"] {
-                        engine.query("Balance").objective_is(target).run().unwrap();
+                        engine
+                            .run_spec(&QuerySpec::boolean("Balance", target))
+                            .unwrap();
                     }
                 });
             }
@@ -900,9 +866,7 @@ mod tests {
         // A follow-up query is warm.
         let before = engine.stats().scan_cache_hits;
         engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         assert_eq!(engine.stats().scan_cache_hits, before + 1);
     }
@@ -910,7 +874,8 @@ mod tests {
     #[test]
     fn mine_all_pairs_matches_lazy_iterator_any_thread_count() {
         let engine = bank_shared(5_000, 3, 50);
-        let lazy: Vec<_> = engine.queries_for_all_pairs().map(|r| r.unwrap()).collect();
+        let specs = QuerySpec::all_pairs(engine.schema());
+        let lazy: Vec<_> = specs.iter().map(|s| engine.run_spec(s).unwrap()).collect();
         // 4 numeric × 3 boolean attributes, streamed numeric-major, one
         // scan per numeric attribute.
         assert_eq!(lazy.len(), 12);
@@ -948,11 +913,11 @@ mod tests {
             CacheConfig::unbounded(),
         );
         for attr in ["Balance", "Age", "CheckingAccount"] {
-            let b = bounded.query(attr).objective_is("CardLoan").run().unwrap();
+            let b = bounded
+                .run_spec(&QuerySpec::boolean(attr, "CardLoan"))
+                .unwrap();
             let u = unbounded
-                .query(attr)
-                .objective_is("CardLoan")
-                .run()
+                .run_spec(&QuerySpec::boolean(attr, "CardLoan"))
                 .unwrap();
             assert_eq!(b, u, "{attr}");
             assert!(bounded.cache_cost() <= 64);
@@ -964,10 +929,7 @@ mod tests {
         let engine = bank_shared(1_000, 1, 10);
         // Miss both caches, then fail inside the bucketization.
         assert!(engine
-            .query("Balance")
-            .buckets(0)
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan").buckets(0))
             .is_err());
         let stats = engine.stats();
         assert_eq!(stats.hits() + stats.misses(), stats.lookups, "{stats:?}");
@@ -976,9 +938,7 @@ mod tests {
         assert_eq!(stats.bucketizations, 1);
         // A later healthy query still behaves normally.
         engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         let stats = engine.stats();
         assert_eq!(stats.hits() + stats.misses(), stats.lookups, "{stats:?}");
@@ -1014,7 +974,7 @@ mod tests {
         assert_eq!(engine.pin().rows(), 2_002);
 
         // Queries reflect the generation they pin.
-        let rules = engine.query("Balance").objective_is("CardLoan").run();
+        let rules = engine.run_spec(&QuerySpec::boolean("Balance", "CardLoan"));
         assert_eq!(rules.unwrap().total_rows, 2_002);
 
         // An empty append is a no-op, not a generation bump.
@@ -1099,9 +1059,7 @@ mod tests {
             },
         );
         let before = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         assert_eq!(engine.stats().scans, 1);
         engine
@@ -1112,18 +1070,14 @@ mod tests {
             .unwrap();
         // Same spec, new generation: a fresh scan, not the cached one.
         let after = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         assert_eq!(engine.stats().scans, 2);
         assert_eq!(before.total_rows, 2_000);
         assert_eq!(after.total_rows, 2_001);
         // Re-running on the current generation is warm again.
         engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         let stats = engine.stats();
         assert_eq!(stats.scans, 2);
@@ -1136,9 +1090,7 @@ mod tests {
         let engine = bank_shared(2_000, 9, 20);
         let query = || {
             engine
-                .query("Balance")
-                .objective_is("CardLoan")
-                .run()
+                .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
                 .unwrap()
         };
         query();
@@ -1150,12 +1102,10 @@ mod tests {
     }
 
     #[test]
-    fn recovers_planted_rule_through_fluent_query() {
+    fn recovers_planted_rule_through_run_spec() {
         let engine = bank_shared(40_000, 11, 200);
         let rules = engine
-            .query("Balance")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
             .unwrap();
         let sup = rules.optimized_support().expect("confident range exists");
         assert!(sup.value_range.0 > 2500.0 && sup.value_range.0 < 3500.0);
@@ -1169,25 +1119,17 @@ mod tests {
     fn empty_relation_yields_error() {
         let rel = Relation::new(Schema::builder().numeric("X").boolean("B").build());
         let engine = SharedEngine::new(rel);
-        assert!(engine.query("X").objective_is("B").run().is_err());
+        assert!(engine.run_spec(&QuerySpec::boolean("X", "B")).is_err());
     }
 
     #[test]
     fn unknown_names_surface_as_errors_not_panics() {
         let engine = bank_shared(1_000, 1, 10);
         assert!(engine
-            .query("NoSuchAttr")
-            .objective_is("CardLoan")
-            .run()
+            .run_spec(&QuerySpec::boolean("NoSuchAttr", "CardLoan"))
             .is_err());
         assert!(engine
-            .query("Balance")
-            .objective_is("NoSuchBool")
-            .run()
-            .is_err());
-        assert!(engine
-            .query("Balance")
-            .with_task(crate::query::Task::Both)
+            .run_spec(&QuerySpec::boolean("Balance", "NoSuchBool"))
             .is_err());
     }
 

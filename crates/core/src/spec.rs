@@ -1,9 +1,23 @@
-//! Declarative query specifications: the plain-data form of a query.
+//! Declarative query specifications: the one way to write a query.
 //!
-//! A [`QuerySpec`] is everything the fluent
-//! [`Query`](crate::query::Query) builder collects, as inert data:
+//! A [`QuerySpec`] states one optimized-range question as inert data:
 //! attribute *names* instead of schema handles, `Eq + Hash` throughout,
-//! no references to an engine or relation. That makes a spec
+//! no references to an engine or relation. Build one from a
+//! constructor ([`QuerySpec::boolean`], [`QuerySpec::average`],
+//! [`QuerySpec::region2d`], [`QuerySpec::new`]) and the chaining
+//! setters; set the rarer fields with struct-update syntax:
+//!
+//! ```
+//! use optrules_core::{QuerySpec, Task};
+//!
+//! let spec = QuerySpec::boolean("Balance", "CardLoan")
+//!     .min_support_pct(10)
+//!     .task(Task::OptimizeSupport);
+//! let parallel = QuerySpec { threads: Some(4), ..spec.clone() };
+//! assert_ne!(spec, parallel);
+//! ```
+//!
+//! That makes a spec
 //!
 //! * **storable** — batch files, request logs, test fixtures;
 //! * **serializable** — the JSON protocol of [`crate::json`] encodes
@@ -93,7 +107,8 @@ pub enum CondSpec {
 
 impl CondSpec {
     /// Flattens a resolved [`Condition`] into a conjunction of named
-    /// primitives, dropping `True`s (the builder's `.given(...)` path).
+    /// primitives, dropping `True`s — how a schema-handle condition
+    /// becomes a [`QuerySpec::given`] argument.
     ///
     /// # Panics
     ///
@@ -133,8 +148,8 @@ impl CondSpec {
 }
 
 /// Resolves a conjunction of [`CondSpec`]s into a [`Condition`] against
-/// a schema, preserving order (so rendered descriptions match what the
-/// fluent builder produced).
+/// a schema, preserving order (so rendered descriptions list the
+/// conjuncts as the spec does).
 ///
 /// # Errors
 ///
@@ -157,8 +172,9 @@ pub fn resolve_conjunction(parts: &[CondSpec], schema: &Schema) -> crate::error:
 /// A spec's objective: what the mined rules imply.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ObjectiveSpec {
-    /// `(target = yes)` for a Boolean attribute — the common case, and
-    /// the only shape eligible for the shared all-Booleans scan.
+    /// `(target = yes)` for a Boolean attribute — the common case. It
+    /// resolves to the same condition as a one-conjunct `Cond` of
+    /// `(target = yes)`, and both share the all-Booleans scan.
     Bool {
         /// Boolean attribute name.
         target: String,
@@ -176,9 +192,8 @@ pub enum ObjectiveSpec {
     },
 }
 
-/// A fully declarative query: the plain-data form the fluent
-/// [`Query`](crate::query::Query) builder produces, and the unit of the
-/// JSON request protocol ([`crate::json`]).
+/// A fully declarative query — the only query type, and the unit of
+/// the JSON request protocol ([`crate::json`]).
 ///
 /// `None` fields fall back to the engine's
 /// [`EngineConfig`](crate::EngineConfig) when the spec runs, so
@@ -282,6 +297,65 @@ impl QuerySpec {
                 target: target.into(),
             },
         )
+    }
+
+    /// The §1.3 "all combinations" sweep over `schema`: one
+    /// [`QuerySpec::boolean`] per (numeric attribute, Boolean attribute)
+    /// pair, numeric-major. Run them eagerly with
+    /// [`SharedEngine::run_batch`](crate::shared::SharedEngine::run_batch)
+    /// or lazily with `specs.iter().map(|s| engine.run_spec(s))` — each
+    /// numeric attribute's first pair scans, the rest hit its cache.
+    pub fn all_pairs(schema: &Schema) -> Vec<QuerySpec> {
+        schema
+            .numeric_attrs()
+            .flat_map(|a| {
+                schema
+                    .boolean_attrs()
+                    .map(move |b| Self::boolean(schema.numeric_name(a), schema.boolean_name(b)))
+            })
+            .collect()
+    }
+
+    /// Adds presumptive conjuncts `C1` (§4.3): the rule becomes
+    /// `(A ∈ I) ∧ C1 ⇒ C2` and support counts only tuples meeting `C1`
+    /// (measured against the full row count). Repeated calls conjoin.
+    /// For an average spec the average is likewise taken over tuples
+    /// meeting `C1` only.
+    pub fn given(mut self, conds: impl IntoIterator<Item = CondSpec>) -> Self {
+        self.given.extend(conds);
+        self
+    }
+
+    /// Which optimization(s) to run (default [`Task::Both`]).
+    pub fn task(mut self, task: Task) -> Self {
+        self.task = task;
+        self
+    }
+
+    /// Minimum support as a whole-number percentage.
+    pub fn min_support_pct(mut self, pct: u64) -> Self {
+        self.min_support = Some(Ratio::percent(pct));
+        self
+    }
+
+    /// Minimum confidence as a whole-number percentage. Only valid for
+    /// boolean-objective specs; an average spec with it fails to run.
+    pub fn min_confidence_pct(mut self, pct: u64) -> Self {
+        self.min_confidence = Some(Ratio::percent(pct));
+        self
+    }
+
+    /// Minimum target average for the §5 maximum-support range. Only
+    /// valid for average specs; a boolean spec with it fails to run.
+    pub fn min_average(mut self, threshold: f64) -> Self {
+        self.min_average = Some(Real(threshold));
+        self
+    }
+
+    /// Overrides the bucket count `M` (per axis for a rectangle spec).
+    pub fn buckets(mut self, buckets: usize) -> Self {
+        self.buckets = Some(buckets);
+        self
     }
 }
 

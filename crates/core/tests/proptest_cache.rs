@@ -7,9 +7,9 @@
 //!     eviction) stay semantically invisible.
 
 use optrules_core::query::RuleSet;
-use optrules_core::{CacheConfig, EngineConfig, Ratio, SharedEngine};
+use optrules_core::{CacheConfig, CondSpec, EngineConfig, QuerySpec, Ratio, SharedEngine};
 use optrules_relation::gen::{BankGenerator, DataGenerator};
-use optrules_relation::{Condition, Relation, TupleScan};
+use optrules_relation::Relation;
 use proptest::prelude::*;
 
 const MAX_COST: u64 = 700;
@@ -57,27 +57,20 @@ fn config() -> EngineConfig {
 }
 
 fn run_query(engine: &SharedEngine<&Relation>, q: GenQuery) -> RuleSet {
-    let query = engine
-        .query(NUMERIC[q.attr])
-        .buckets(BUCKETS[q.bucket_choice]);
-    match q.kind {
-        0 => query.objective_is(BOOLEAN[q.target]).run(),
-        1 => {
-            let battr = engine
-                .relation()
-                .schema()
-                .boolean(BOOLEAN[q.target])
-                .unwrap();
-            query
-                .given(Condition::BoolIs(battr, true))
-                .objective_is(BOOLEAN[(q.target + 1) % BOOLEAN.len()])
-                .run()
-        }
-        _ => query
-            .average_of(NUMERIC[(q.attr + 1) % NUMERIC.len()])
-            .run(),
-    }
-    .expect("bank schema queries are valid")
+    let attr = NUMERIC[q.attr];
+    let spec = match q.kind {
+        0 => QuerySpec::boolean(attr, BOOLEAN[q.target]),
+        1 => QuerySpec::boolean(attr, BOOLEAN[(q.target + 1) % BOOLEAN.len()]).given([
+            CondSpec::BoolIs {
+                attr: BOOLEAN[q.target].into(),
+                value: true,
+            },
+        ]),
+        _ => QuerySpec::average(attr, NUMERIC[(q.attr + 1) % NUMERIC.len()]),
+    };
+    engine
+        .run_spec(&spec.buckets(BUCKETS[q.bucket_choice]))
+        .expect("bank schema queries are valid")
 }
 
 /// Cache-free reference: zero budget admits nothing, so every query
@@ -152,10 +145,7 @@ fn tiny_cache_workload_really_evicts() {
         for buckets in BUCKETS {
             for target in BOOLEAN {
                 engine
-                    .query(attr)
-                    .buckets(buckets)
-                    .objective_is(target)
-                    .run()
+                    .run_spec(&QuerySpec::boolean(attr, target).buckets(buckets))
                     .unwrap();
             }
         }

@@ -10,9 +10,9 @@
 //! default cache, so it also holds across warm hits.
 
 use optrules_core::query::RuleSet;
-use optrules_core::{CacheConfig, EngineConfig, Ratio, SharedEngine};
+use optrules_core::{CacheConfig, CondSpec, EngineConfig, QuerySpec, Ratio, SharedEngine};
 use optrules_relation::gen::{BankGenerator, DataGenerator};
-use optrules_relation::{ChunkedRelation, Condition, RowFrame, TupleScan};
+use optrules_relation::{ChunkedRelation, RowFrame, TupleScan};
 use proptest::prelude::*;
 
 const NUMERIC: [&str; 4] = ["Balance", "Age", "CheckingAccount", "SavingAccount"];
@@ -96,19 +96,19 @@ fn run_query<R: optrules_relation::RandomAccess>(
     kind: usize,
     bucket_choice: usize,
 ) -> RuleSet {
-    let query = engine.query(NUMERIC[attr]).buckets(BUCKETS[bucket_choice]);
-    match kind {
-        0 => query.objective_is(BOOLEAN[target]).run(),
-        1 => {
-            let battr = engine.schema().boolean(BOOLEAN[target]).unwrap();
-            query
-                .given(Condition::BoolIs(battr, true))
-                .objective_is(BOOLEAN[(target + 1) % BOOLEAN.len()])
-                .run()
-        }
-        _ => query.average_of(NUMERIC[(attr + 1) % NUMERIC.len()]).run(),
-    }
-    .expect("bank schema queries are valid")
+    let spec = match kind {
+        0 => QuerySpec::boolean(NUMERIC[attr], BOOLEAN[target]),
+        1 => QuerySpec::boolean(NUMERIC[attr], BOOLEAN[(target + 1) % BOOLEAN.len()]).given([
+            CondSpec::BoolIs {
+                attr: BOOLEAN[target].into(),
+                value: true,
+            },
+        ]),
+        _ => QuerySpec::average(NUMERIC[attr], NUMERIC[(attr + 1) % NUMERIC.len()]),
+    };
+    engine
+        .run_spec(&spec.buckets(BUCKETS[bucket_choice]))
+        .expect("bank schema queries are valid")
 }
 
 fn check(seq: &[Op], cache: CacheConfig) {

@@ -38,9 +38,7 @@ fn main() {
 
     // --- Single pair: the paper's headline example. -------------------
     let rules = engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .expect("mining succeeds");
     println!("\n== Balance => CardLoan ==");
     if let Some(rule) = rules.optimized_support() {
@@ -56,14 +54,14 @@ fn main() {
         );
     }
 
-    // --- All pairs: the lazy iterator streams one RuleSet per pair;
-    //     one bucketing + one counting scan per numeric attribute
-    //     covers every Boolean target at once (and the Balance scan
-    //     above is already cached). ----------------------------------
+    // --- All pairs: one spec per pair, run one at a time; one
+    //     bucketing + one counting scan per numeric attribute covers
+    //     every Boolean target at once (and the Balance scan above is
+    //     already cached). -------------------------------------------
     println!("\n== all numeric x boolean pairs ==");
     let mut age_rule = None;
-    for result in engine.queries_for_all_pairs() {
-        let pair = result.expect("mining succeeds");
+    for spec in QuerySpec::all_pairs(engine.schema()) {
+        let pair = engine.run_spec(&spec).expect("mining succeeds");
         let line = match (pair.optimized_support(), pair.optimized_confidence()) {
             (Some(s), _) if s.support() > 0.0 => {
                 format!(

@@ -1,6 +1,6 @@
-//! Declarative batch mining: build [`QuerySpec`]s (directly, from the
-//! fluent builder, or from JSON), plan them as one batch, and execute
-//! with the shared work deduplicated.
+//! Declarative batch mining: build [`QuerySpec`]s (in code or from
+//! JSON), plan them as one batch, and execute with the shared work
+//! deduplicated.
 //!
 //! ```text
 //! cargo run --example batch_queries
@@ -21,16 +21,10 @@ fn main() {
         },
     );
 
-    // Three ways to the same plain-data spec.
+    // Two ways to the same plain-data spec.
     let direct = QuerySpec::boolean("Balance", "CardLoan");
-    let fluent = engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .spec()
-        .expect("objective set");
     let wire = json::decode_spec(r#"{"attr":"Balance","objective":{"bool":"CardLoan"}}"#)
         .expect("valid request");
-    assert_eq!(direct, fluent);
     assert_eq!(direct, wire);
     println!("request : {}", json::encode_spec(&direct));
 
@@ -39,9 +33,7 @@ fn main() {
     let mut specs = vec![direct];
     specs.push(QuerySpec::boolean("Balance", "AutoWithdraw"));
     specs.push(QuerySpec::boolean("Balance", "OnlineBanking"));
-    let mut avg = QuerySpec::average("CheckingAccount", "SavingAccount");
-    avg.min_average = Some(Real(14_000.0));
-    specs.push(avg);
+    specs.push(QuerySpec::average("CheckingAccount", "SavingAccount").min_average(14_000.0));
 
     // Inspect the plan before paying for it.
     let plan = engine.plan_batch(&specs);

@@ -43,9 +43,7 @@ fn main() {
                     for (i, attr) in attrs.iter().enumerate() {
                         let target = targets[(i + worker + round) % targets.len()];
                         let rules = engine
-                            .query(*attr)
-                            .objective_is(target)
-                            .run()
+                            .run_spec(&QuerySpec::boolean(*attr, target))
                             .expect("bank queries are valid");
                         if round == 0 && worker == 0 {
                             if let Some(rule) = rules.optimized_support() {

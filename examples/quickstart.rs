@@ -38,9 +38,7 @@ fn main() {
     );
 
     let rules = engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .expect("mining a non-empty relation succeeds");
 
     println!(
@@ -66,10 +64,11 @@ fn main() {
     // A second query at a different threshold reuses the cached scan —
     // the relation is not touched again.
     let tighter = engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .min_support_pct(30)
-        .optimize_confidence()
+        .run_spec(
+            &QuerySpec::boolean("Balance", "CardLoan")
+                .min_support_pct(30)
+                .task(Task::OptimizeConfidence),
+        )
         .expect("cached query succeeds");
     println!();
     match tighter.optimized_confidence() {

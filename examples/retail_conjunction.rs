@@ -33,17 +33,14 @@ fn main() {
             ..EngineConfig::default()
         },
     );
-    let pizza = Condition::BoolIs(
-        engine.relation().schema().boolean("Pizza").expect("attr"),
-        true,
-    );
+    let pizza = CondSpec::BoolIs {
+        attr: "Pizza".into(),
+        value: true,
+    };
 
     // With the conjunct: the planted band is recovered.
     let with = engine
-        .query("Amount")
-        .given(pizza)
-        .objective_is("Potato")
-        .run()
+        .run_spec(&QuerySpec::boolean("Amount", "Potato").given([pizza]))
         .expect("mining succeeds");
     println!("\n== with Pizza conjunct ==");
     match with.optimized_support() {
@@ -64,9 +61,7 @@ fn main() {
     // Without the conjunct: the diluted pattern cannot reach 65 %.
     // Same attribute, so the engine reuses the cached bucketization.
     let without = engine
-        .query("Amount")
-        .objective_is("Potato")
-        .run()
+        .run_spec(&QuerySpec::boolean("Amount", "Potato"))
         .expect("mining succeeds");
     println!("\n== without conjunct ==");
     match without.optimized_support() {

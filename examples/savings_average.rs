@@ -49,11 +49,9 @@ fn main() {
         },
     );
 
+    let spec = QuerySpec::average("CheckingAccount", "SavingAccount");
     let rules = engine
-        .query("CheckingAccount")
-        .average_of("SavingAccount")
-        .min_average(10_000.0)
-        .run()
+        .run_spec(&spec.clone().min_average(10_000.0))
         .expect("mining succeeds");
 
     println!();
@@ -88,10 +86,12 @@ fn main() {
     println!("\nsupport threshold sweep (maximum average range):");
     for pct in [5u64, 10, 20, 30, 50] {
         let swept = engine
-            .query("CheckingAccount")
-            .average_of("SavingAccount")
-            .min_support_pct(pct)
-            .optimize_confidence()
+            .run_spec(
+                &spec
+                    .clone()
+                    .min_support_pct(pct)
+                    .task(Task::OptimizeConfidence),
+            )
             .expect("mining succeeds");
         if let Some(range) = swept.max_average() {
             println!(

@@ -3,8 +3,8 @@
 //! the rule shape `(Age, Balance) ∈ X ⇒ (CardLoan = yes)` the paper
 //! points to its SIGMOD 1996 companion for.
 //!
-//! Rectangle mining is a first-class workload: pair a second attribute
-//! onto the fluent query with [`Query::and_attr`] and the engine
+//! Rectangle mining is a first-class workload: name a second attribute
+//! with [`QuerySpec::region2d`] and the engine
 //! bucketizes both axes (Algorithm 3.1 per axis), fills the grid in
 //! one counting scan, caches it, and runs the O(nx²·ny) rectangle
 //! sweeps centrally. The same spec works through `optrules batch`,
@@ -38,7 +38,7 @@ fn main() {
         EngineConfig {
             // 48 × 48 grid: `buckets` caps the *cell* budget for 2-D
             // queries, so 2304 cells ≈ the 1-D default budget. An
-            // explicit per-query `.buckets(48)` would do the same.
+            // explicit per-spec `.buckets(48)` would do the same.
             buckets: 48 * 48,
             seed: 1,
             ..EngineConfig::default()
@@ -47,13 +47,9 @@ fn main() {
 
     // The §1.4 rectangle query, first-class: both optimizations in one
     // pass over one cached grid.
+    let rect = QuerySpec::region2d("X", "Y", "C").min_confidence_pct(70);
     let rules = engine
-        .query("X")
-        .and_attr("Y")
-        .objective_is("C")
-        .min_support_pct(10)
-        .min_confidence_pct(70)
-        .run()
+        .run_spec(&rect.clone().min_support_pct(10))
         .expect("rectangle query runs");
 
     let conf = rules.rect_confidence().expect("ample rectangle exists");
@@ -71,12 +67,7 @@ fn main() {
     // A follow-up rectangle query on the same pair reuses the cached
     // grid — no second counting scan.
     let again = engine
-        .query("X")
-        .and_attr("Y")
-        .objective_is("C")
-        .min_support_pct(20)
-        .min_confidence_pct(70)
-        .run()
+        .run_spec(&rect.min_support_pct(20))
         .expect("rectangle query runs");
     assert!(again.rect_confidence().is_some());
     let stats = engine.stats();

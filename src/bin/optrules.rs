@@ -171,7 +171,9 @@ const USAGE: &str = "usage:
 type CliResult = Result<(), String>;
 
 /// Splits positional arguments from `--key value` flags. A trailing
-/// `--key` with no value is a usage error, not an empty value.
+/// `--key` with no value is a usage error, not an empty value, and so
+/// is a repeated `--key`: the later value must not silently replace
+/// the earlier one.
 fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
@@ -186,7 +188,9 @@ fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
             if value.starts_with("--") {
                 return Err(format!("flag --{key} expects a value, got {value:?}"));
             }
-            flags.insert(key, value.as_str());
+            if flags.insert(key, value.as_str()).is_some() {
+                return Err(format!("flag --{key} given more than once"));
+            }
             i += 2;
         } else {
             positional.push(args[i].as_str());
@@ -419,19 +423,24 @@ fn info(path: &str) -> CliResult {
     Ok(())
 }
 
-/// Parses `--given` of the form `Attr=yes|no` into a condition.
-fn parse_given(schema: &Schema, raw: &str) -> Result<Condition, String> {
+/// Parses `--given` of the form `Attr=yes|no` into a presumptive
+/// conjunct.
+fn parse_given(schema: &Schema, raw: &str) -> Result<CondSpec, String> {
     let (name, value) = raw
         .split_once('=')
         .ok_or_else(|| format!("--given expects Attr=yes|no, got {raw:?}"))?;
-    let attr = schema
+    schema
         .boolean(name)
         .map_err(|_| format!("unknown boolean attribute {name:?}"))?;
-    match value {
-        "yes" => Ok(Condition::BoolIs(attr, true)),
-        "no" => Ok(Condition::BoolIs(attr, false)),
-        other => Err(format!("--given value must be yes or no, got {other:?}")),
-    }
+    let value = match value {
+        "yes" => true,
+        "no" => false,
+        other => return Err(format!("--given value must be yes or no, got {other:?}")),
+    };
+    Ok(CondSpec::BoolIs {
+        attr: name.to_string(),
+        value,
+    })
 }
 
 /// The `EngineConfig` flags shared by `mine`, `mine-all`, and `avg`.
@@ -554,18 +563,17 @@ fn mine(path: &str, flags: &HashMap<&str, &str>) -> CliResult {
     let schema = engine.relation().schema().clone();
     let attr = *flags.get("attr").ok_or("--attr is required")?;
     let target = *flags.get("target").ok_or("--target is required")?;
-    let presumptive = match flags.get("given") {
-        Some(raw) => parse_given(&schema, raw)?,
-        None => Condition::True,
-    };
-    let rules = engine
-        .query(attr)
-        .given(presumptive)
-        .objective_is(target)
+    let presumptive = flags
+        .get("given")
+        .map(|raw| parse_given(&schema, raw))
+        .transpose()?;
+    let spec = QuerySpec {
         // One query per process: no point counting the other booleans.
-        .scan_all_booleans(false)
-        .run()
-        .map_err(|e| e.to_string())?;
+        scan_all_booleans: false,
+        ..QuerySpec::boolean(attr, target)
+    }
+    .given(presumptive);
+    let rules = engine.run_spec(&spec).map_err(|e| e.to_string())?;
     match format {
         Format::Text => print_rules(&rules),
         Format::Json => println!("{}", json::encode_rule_set(&rules)),
@@ -619,10 +627,7 @@ fn avg(path: &str, flags: &HashMap<&str, &str>) -> CliResult {
     let target = *flags.get("target").ok_or("--target is required")?;
     let min_avg: f64 = flag_num(flags, "min-avg", 0.0)?;
     let rules = engine
-        .query(attr)
-        .average_of(target)
-        .min_average(min_avg)
-        .run()
+        .run_spec(&QuerySpec::average(attr, target).min_average(min_avg))
         .map_err(|e| e.to_string())?;
     if format == Format::Json {
         println!("{}", json::encode_rule_set(&rules));

@@ -27,7 +27,8 @@
 //! owns the relation and caches bucketizations and counting scans, so
 //! repeated queries — the paper's §1.3 interactive scenario — skip the
 //! O(N) work. Queries take `&self` (share the engine across threads by
-//! reference) and are phrased with the fluent builder:
+//! reference) and are plain-data [`QuerySpec`](core::spec::QuerySpec)
+//! values:
 //!
 //! ```
 //! use optrules::prelude::*;
@@ -48,33 +49,31 @@
 //! );
 //!
 //! // The optimized-support rule: widest band at ≥ 60 % confidence.
-//! let rules = engine
-//!     .query("Balance")
-//!     .objective_is("CardLoan")
+//! let spec = QuerySpec::boolean("Balance", "CardLoan")
 //!     .min_support_pct(10)
-//!     .min_confidence_pct(60)
-//!     .run()
-//!     .unwrap();
+//!     .min_confidence_pct(60);
+//! let rules = engine.run_spec(&spec).unwrap();
 //! let rule = rules.optimized_support().expect("confident range exists");
 //! assert!(rule.confidence() >= 0.60);
 //! println!("{}", rule.describe(&rules.attr_name, &rules.objective_desc));
 //!
 //! // A follow-up query on the same attribute reuses the cached scan:
 //! let again = engine
-//!     .query("Balance")
-//!     .objective_is("CardLoan")
-//!     .min_support_pct(20)
-//!     .optimize_confidence()
+//!     .run_spec(
+//!         &QuerySpec::boolean("Balance", "CardLoan")
+//!             .min_support_pct(20)
+//!             .task(Task::OptimizeConfidence),
+//!     )
 //!     .unwrap();
 //! assert!(again.optimized_confidence().is_some());
 //! assert_eq!(engine.stats().scans, 1);
 //! ```
 //!
-//! Generalized rules add a presumptive conjunct
-//! (`.given(condition)`, §4.3); Section 5's average operator is
-//! `.average_of("Target").min_average(θ)`; and
-//! `engine.queries_for_all_pairs()` streams the full numeric × Boolean
-//! sweep lazily.
+//! Generalized rules add presumptive conjuncts
+//! (`.given([cond_spec])`, §4.3); Section 5's average operator is
+//! `QuerySpec::average("Attr", "Target").min_average(θ)`; and
+//! `QuerySpec::all_pairs(engine.schema())` lists the full numeric ×
+//! Boolean sweep, run eagerly by `engine.mine_all_pairs(threads)`.
 //!
 //! ## Crate map
 //!
@@ -88,14 +87,14 @@
 //! * [`bucketing`] — randomized equi-depth bucketing (Algorithm 3.1),
 //!   parallel counting (Algorithm 3.2), and the sort-based baselines;
 //! * [`core`] — the optimizers, the average-operator ranges
-//!   (Section 5), and the [`core::shared::SharedEngine`] /
-//!   [`core::query::Query`] session API. `SharedEngine` takes `&self`
+//!   (Section 5), and the [`core::shared::SharedEngine`] session API
+//!   queried with [`core::spec::QuerySpec`]s. `SharedEngine` takes `&self`
 //!   and is `Send + Sync` for parallel query traffic; underneath it is
 //!   one [`core::exec::Executor`] (bounded sharded cache
 //!   ([`core::cache`]), singleflight, plan fan-out, rule assembly)
 //!   reading rows through a [`core::exec::CountSource`].
-//!   The declarative layer on top — plain-data
-//!   [`core::spec::QuerySpec`]s, the batch planner ([`core::plan`])
+//!   The declarative layer on top — the same plain-data specs, the
+//!   batch planner ([`core::plan`])
 //!   behind `SharedEngine::run_batch`, and the JSON protocol
 //!   ([`core::json`]) — makes the engine drivable by other processes
 //!   (`optrules batch` on the CLI), and [`core::server`] serves that
@@ -127,6 +126,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Compiles the Rust snippets in `README.md` as doctests, so the
+/// README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use optrules_bucketing as bucketing;
 pub use optrules_coord as coord;
 pub use optrules_core as core;
@@ -142,9 +147,9 @@ pub mod prelude {
     pub use crate::core::average::{maximum_average_range, maximum_support_range};
     pub use crate::core::{
         optimize_confidence, optimize_support, AppendOutcome, AvgRule, CacheConfig, CondSpec,
-        EngineConfig, EngineStats, GridCounts, Objective, ObjectiveSpec, OptRange, Pinned, Plan,
-        Query, QuerySpec, RangeRule, Ratio, Real, RectRule, Rule, RuleKind, RuleSet, ServerConfig,
-        ServerHandle, ShardStats, SharedEngine, StatsSnapshot, Task,
+        EngineConfig, EngineStats, GridCounts, ObjectiveSpec, OptRange, Pinned, Plan, QuerySpec,
+        RangeRule, Ratio, Real, RectRule, Rule, RuleKind, RuleSet, ServerConfig, ServerHandle,
+        ShardStats, SharedEngine, StatsSnapshot, Task,
     };
     pub use crate::relation::gen::{
         BankGenerator, DataGenerator, PlantedRangeGenerator, RetailGenerator, UniformWorkload,
@@ -172,7 +177,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let rules = engine.query("A").objective_is("C").run().unwrap();
+        let rules = engine.run_spec(&QuerySpec::boolean("A", "C")).unwrap();
         assert!(rules.optimized_confidence().is_some());
         assert_eq!(engine.stats().scans, 1);
     }

@@ -146,29 +146,19 @@ fn plan_counts_distinct_nodes() {
 }
 
 #[test]
-fn fluent_query_spec_and_run_spec_agree() {
+fn spec_json_round_trip_runs_identically() {
     let engine = engine(5_000, 3);
-    let schema = engine.relation().schema().clone();
-    let auto = Condition::BoolIs(schema.boolean("AutoWithdraw").unwrap(), true);
-    let fluent = engine
-        .query("Balance")
-        .given(auto.clone())
-        .objective_is("CardLoan")
-        .min_support_pct(5)
-        .run()
-        .unwrap();
-    let spec = engine
-        .query("Balance")
-        .given(auto)
-        .objective_is("CardLoan")
-        .min_support_pct(5)
-        .spec()
-        .unwrap();
-    assert_eq!(engine.run_spec(&spec).unwrap(), fluent);
-    // And through JSON: encode → decode → run is still identical.
+    let spec = QuerySpec::boolean("Balance", "CardLoan")
+        .given([CondSpec::BoolIs {
+            attr: "AutoWithdraw".into(),
+            value: true,
+        }])
+        .min_support_pct(5);
+    let direct = engine.run_spec(&spec).unwrap();
+    // Through JSON: encode → decode → run is still identical.
     let decoded = json::decode_spec(&json::encode_spec(&spec)).unwrap();
     assert_eq!(decoded, spec);
-    assert_eq!(engine.run_spec(&decoded).unwrap(), fluent);
+    assert_eq!(engine.run_spec(&decoded).unwrap(), direct);
 }
 
 /// Golden bytes for the response encoding: field order, number

@@ -651,3 +651,108 @@ fn mining_output_matches_golden_transcript() {
     std::fs::remove_file(&bank).unwrap();
     std::fs::remove_file(&retail).unwrap();
 }
+
+#[test]
+fn repeated_flag_is_an_error_naming_the_flag() {
+    let path = tmp("repeated-flag");
+    let path_s = path.to_str().unwrap();
+    run_ok(&["gen", "retail", path_s, "--rows", "1000"]);
+    let mine = ["mine", path_s, "--attr", "Amount", "--target", "Potato"];
+    for (flag, first, second) in [
+        ("--given", "Pizza=yes", "Coke=yes"),
+        ("--buckets", "10", "20"),
+    ] {
+        let out = bin()
+            .args(mine)
+            .args([flag, first, flag, second])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} twice must be a usage error"
+        );
+        assert!(out.stdout.is_empty(), "{flag} twice must not mine");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("flag {flag} given more than once")),
+            "{err}"
+        );
+        assert!(err.contains("usage:"), "{err}");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `mine --format json` and `avg --format json` print exactly the
+/// result `batch` answers for the same spec under the same session
+/// flags — one query path, two front ends.
+#[test]
+fn mine_and_avg_json_equal_batch_answers() {
+    let path = tmp("mine-vs-batch");
+    let path_s = path.to_str().unwrap();
+    run_ok(&["gen", "bank", path_s, "--rows", "20000", "--seed", "3"]);
+    let session = [
+        "--buckets",
+        "100",
+        "--min-support",
+        "10",
+        "--min-confidence",
+        "60",
+    ];
+
+    let mine: Vec<&str> = [
+        "mine",
+        path_s,
+        "--attr",
+        "Balance",
+        "--target",
+        "CardLoan",
+        "--given",
+        "AutoWithdraw=yes",
+        "--format",
+        "json",
+    ]
+    .into_iter()
+    .chain(session)
+    .collect();
+    let mined = run_ok(&mine);
+    let batch: Vec<&str> = ["batch", path_s].into_iter().chain(session).collect();
+    let answered = run_ok_stdin(
+        &batch,
+        concat!(
+            r#"{"attr":"Balance","objective":{"bool":"CardLoan"},"#,
+            r#""given":[{"bool":"AutoWithdraw","is":true}],"scan_all_booleans":false}"#,
+            "\n",
+        ),
+    );
+    assert_eq!(answered, format!("{{\"ok\":{}}}\n", mined.trim_end()));
+
+    let session = ["--buckets", "200", "--min-support", "10"];
+    let avg: Vec<&str> = [
+        "avg",
+        path_s,
+        "--attr",
+        "CheckingAccount",
+        "--target",
+        "SavingAccount",
+        "--min-avg",
+        "14000",
+        "--format",
+        "json",
+    ]
+    .into_iter()
+    .chain(session)
+    .collect();
+    let mined = run_ok(&avg);
+    let batch: Vec<&str> = ["batch", path_s].into_iter().chain(session).collect();
+    let answered = run_ok_stdin(
+        &batch,
+        concat!(
+            r#"{"attr":"CheckingAccount","objective":{"average":"SavingAccount"},"#,
+            r#""min_average":14000}"#,
+            "\n",
+        ),
+    );
+    assert_eq!(answered, format!("{{\"ok\":{}}}\n", mined.trim_end()));
+    std::fs::remove_file(&path).unwrap();
+}

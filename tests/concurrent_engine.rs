@@ -10,8 +10,8 @@ use optrules::prelude::*;
 const THREADS: usize = 8;
 const QUERIES_PER_THREAD: usize = 50;
 
-/// One deterministic query shape. `run_on` rebuilds the same fluent
-/// query against any engine, so the shared session and the cache-free
+/// One deterministic query shape. `run_on` rebuilds the same spec
+/// against any engine, so the shared session and the cache-free
 /// oracle execute identical plans.
 #[derive(Debug, Clone, Copy)]
 struct Desc {
@@ -31,18 +31,20 @@ enum Obj {
 
 impl Desc {
     fn run_on(&self, engine: &SharedEngine<&Relation>) -> RuleSet {
-        let mut query = engine.query(self.attr);
-        if let Some((name, value)) = self.given {
-            let battr = engine.relation().schema().boolean(name).unwrap();
-            query = query.given(Condition::BoolIs(battr, value));
-        }
-        if let Some(buckets) = self.buckets {
-            query = query.buckets(buckets);
-        }
-        match self.objective {
-            Obj::Is(target) => query.objective_is(target).run().unwrap(),
-            Obj::Avg(target) => query.average_of(target).run().unwrap(),
-        }
+        let spec = match self.objective {
+            Obj::Is(target) => QuerySpec::boolean(self.attr, target),
+            Obj::Avg(target) => QuerySpec::average(self.attr, target),
+        };
+        let given = self.given.map(|(name, value)| CondSpec::BoolIs {
+            attr: name.into(),
+            value,
+        });
+        engine
+            .run_spec(&QuerySpec {
+                buckets: self.buckets,
+                ..spec.given(given)
+            })
+            .unwrap()
     }
 }
 
@@ -227,9 +229,7 @@ fn concurrent_cold_misses_coalesce_onto_one_scan() {
                 scope.spawn(move || {
                     barrier.wait();
                     shared
-                        .query("Balance")
-                        .objective_is("CardLoan")
-                        .run()
+                        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
                         .unwrap()
                 })
             })
@@ -397,11 +397,7 @@ fn failing_leader_does_not_strand_concurrent_queries() {
             let barrier = &barrier;
             scope.spawn(move || {
                 barrier.wait();
-                let result = shared
-                    .query("Balance")
-                    .buckets(0)
-                    .objective_is("CardLoan")
-                    .run();
+                let result = shared.run_spec(&QuerySpec::boolean("Balance", "CardLoan").buckets(0));
                 assert!(result.is_err(), "zero buckets must fail");
             });
         }
@@ -410,8 +406,6 @@ fn failing_leader_does_not_strand_concurrent_queries() {
     assert_eq!(stats.hits() + stats.misses(), stats.lookups, "{stats:?}");
     // Errors are never cached, so a later healthy query still works.
     shared
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .unwrap();
 }

@@ -56,14 +56,10 @@ fn file_backed_mining_matches_in_memory() {
     };
 
     let from_mem = SharedEngine::with_config(&mem, config)
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .unwrap();
     let from_file = SharedEngine::with_config(&file, config)
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .unwrap();
     assert_eq!(from_mem, from_file);
     std::fs::remove_file(&path).unwrap();
@@ -85,9 +81,7 @@ fn mining_determinism_and_seed_stability() {
     // Two independent engines (no shared cache) must agree exactly.
     let mine = |cfg: EngineConfig| {
         SharedEngine::with_config(&rel, cfg)
-            .query("A")
-            .objective_is("C")
-            .run()
+            .run_spec(&QuerySpec::boolean("A", "C"))
             .unwrap()
     };
     let a = mine(config);
@@ -141,9 +135,7 @@ fn quickstart_pipeline() {
         },
     );
     let mined = engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .unwrap();
     let sup = mined.optimized_support().unwrap();
     assert!(sup.confidence() >= 0.60);

@@ -94,12 +94,14 @@ fn engine_matches_direct_pipeline_across_seeds() {
             );
             // Run twice: the first answer is cold, the second comes
             // entirely from the cache. Both must equal the oracle.
+            let spec = QuerySpec::new(
+                "Balance",
+                ObjectiveSpec::Cond {
+                    all: CondSpec::from_condition(&loan, &schema),
+                },
+            );
             for round in 0..2 {
-                let rules = engine
-                    .query("Balance")
-                    .objective(loan.clone())
-                    .run()
-                    .unwrap();
+                let rules = engine.run_spec(&spec).unwrap();
                 assert_eq!(
                     rules.optimized_support(),
                     direct_sup.as_ref(),
@@ -147,12 +149,14 @@ fn engine_matches_direct_pipeline_for_generalized_rules() {
                 ..EngineConfig::default()
             },
         );
-        let rules = engine
-            .query_attr(amount)
-            .given(pizza.clone())
-            .objective(potato.clone())
-            .run()
-            .unwrap();
+        let spec = QuerySpec::new(
+            "Amount",
+            ObjectiveSpec::Cond {
+                all: CondSpec::from_condition(&potato, &schema),
+            },
+        )
+        .given(CondSpec::from_condition(&pizza, &schema));
+        let rules = engine.run_spec(&spec).unwrap();
         assert_eq!(
             rules.optimized_support(),
             direct_sup.as_ref(),
@@ -177,25 +181,18 @@ fn second_query_skips_resampling_and_rescanning() {
         },
     );
     engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan"))
         .unwrap();
     let cold = engine.stats();
     assert_eq!((cold.bucketizations, cold.scans), (1, 1));
 
     // Same attribute, same spec: pure cache, no new O(N) work.
     engine
-        .query("Balance")
-        .objective_is("CardLoan")
-        .min_support_pct(25)
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "CardLoan").min_support_pct(25))
         .unwrap();
     // Same attribute, different Boolean target: still the shared scan.
     engine
-        .query("Balance")
-        .objective_is("OnlineBanking")
-        .run()
+        .run_spec(&QuerySpec::boolean("Balance", "OnlineBanking"))
         .unwrap();
     let warm = engine.stats();
     assert_eq!(

@@ -138,12 +138,17 @@ fn mined_generalized_rule_counts_are_exact() {
             ..EngineConfig::default()
         },
     );
-    let mined = engine
-        .query_attr(amount)
-        .given(Condition::BoolIs(pizza_attr, true))
-        .objective(Condition::BoolIs(potato_attr, true))
-        .run()
-        .unwrap();
+    let spec = QuerySpec::new(
+        "Amount",
+        ObjectiveSpec::Cond {
+            all: CondSpec::from_condition(&Condition::BoolIs(potato_attr, true), &schema),
+        },
+    )
+    .given(CondSpec::from_condition(
+        &Condition::BoolIs(pizza_attr, true),
+        &schema,
+    ));
+    let mined = engine.run_spec(&spec).unwrap();
 
     let rule = mined
         .optimized_support()

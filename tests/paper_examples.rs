@@ -95,7 +95,7 @@ fn definition_2_4_duality_on_planted_data() {
             ..EngineConfig::default()
         },
     );
-    let mined = engine.query("A").objective_is("C").run().unwrap();
+    let mined = engine.run_spec(&QuerySpec::boolean("A", "C")).unwrap();
     let sup = mined.optimized_support().unwrap();
     let conf = mined.optimized_confidence().unwrap();
     assert!(sup.support() >= conf.support() - 1e-9);

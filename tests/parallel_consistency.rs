@@ -79,10 +79,10 @@ fn engine_results_independent_of_thread_count() {
         // key, so each thread count runs its own fresh scan.
         results.push(
             engine
-                .query("Balance")
-                .objective_is("CardLoan")
-                .threads(threads)
-                .run()
+                .run_spec(&QuerySpec {
+                    threads: Some(threads),
+                    ..QuerySpec::boolean("Balance", "CardLoan")
+                })
                 .unwrap(),
         );
     }
