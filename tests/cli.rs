@@ -691,68 +691,58 @@ fn mine_and_avg_json_equal_batch_answers() {
     let path = tmp("mine-vs-batch");
     let path_s = path.to_str().unwrap();
     run_ok(&["gen", "bank", path_s, "--rows", "20000", "--seed", "3"]);
-    let session = [
-        "--buckets",
-        "100",
-        "--min-support",
-        "10",
-        "--min-confidence",
-        "60",
+    let cases: [(&[&str], &[&str], &str); 2] = [
+        (
+            &[
+                "mine",
+                "--attr",
+                "Balance",
+                "--target",
+                "CardLoan",
+                "--given",
+                "AutoWithdraw=yes",
+            ],
+            &[
+                "--buckets",
+                "100",
+                "--min-support",
+                "10",
+                "--min-confidence",
+                "60",
+            ],
+            concat!(
+                r#"{"attr":"Balance","objective":{"bool":"CardLoan"},"#,
+                r#""given":[{"bool":"AutoWithdraw","is":true}],"scan_all_booleans":false}"#,
+            ),
+        ),
+        (
+            &[
+                "avg",
+                "--attr",
+                "CheckingAccount",
+                "--target",
+                "SavingAccount",
+                "--min-avg",
+                "14000",
+            ],
+            &["--buckets", "200", "--min-support", "10"],
+            r#"{"attr":"CheckingAccount","objective":{"average":"SavingAccount"},"min_average":14000}"#,
+        ),
     ];
-
-    let mine: Vec<&str> = [
-        "mine",
-        path_s,
-        "--attr",
-        "Balance",
-        "--target",
-        "CardLoan",
-        "--given",
-        "AutoWithdraw=yes",
-        "--format",
-        "json",
-    ]
-    .into_iter()
-    .chain(session)
-    .collect();
-    let mined = run_ok(&mine);
-    let batch: Vec<&str> = ["batch", path_s].into_iter().chain(session).collect();
-    let answered = run_ok_stdin(
-        &batch,
-        concat!(
-            r#"{"attr":"Balance","objective":{"bool":"CardLoan"},"#,
-            r#""given":[{"bool":"AutoWithdraw","is":true}],"scan_all_booleans":false}"#,
-            "\n",
-        ),
-    );
-    assert_eq!(answered, format!("{{\"ok\":{}}}\n", mined.trim_end()));
-
-    let session = ["--buckets", "200", "--min-support", "10"];
-    let avg: Vec<&str> = [
-        "avg",
-        path_s,
-        "--attr",
-        "CheckingAccount",
-        "--target",
-        "SavingAccount",
-        "--min-avg",
-        "14000",
-        "--format",
-        "json",
-    ]
-    .into_iter()
-    .chain(session)
-    .collect();
-    let mined = run_ok(&avg);
-    let batch: Vec<&str> = ["batch", path_s].into_iter().chain(session).collect();
-    let answered = run_ok_stdin(
-        &batch,
-        concat!(
-            r#"{"attr":"CheckingAccount","objective":{"average":"SavingAccount"},"#,
-            r#""min_average":14000}"#,
-            "\n",
-        ),
-    );
-    assert_eq!(answered, format!("{{\"ok\":{}}}\n", mined.trim_end()));
+    for (command, session, spec) in cases {
+        let mut cli = vec![command[0], path_s];
+        cli.extend(&command[1..]);
+        cli.extend(["--format", "json"]);
+        cli.extend(session);
+        let mined = run_ok(&cli);
+        let mut batch = vec!["batch", path_s];
+        batch.extend(session);
+        let answered = run_ok_stdin(&batch, &format!("{spec}\n"));
+        assert_eq!(
+            answered,
+            format!("{{\"ok\":{}}}\n", mined.trim_end()),
+            "{spec}"
+        );
+    }
     std::fs::remove_file(&path).unwrap();
 }
